@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import harmonic, spectra
 from .graph import Graph, GraphError, require_connected
@@ -155,10 +154,23 @@ def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
         raise GraphError(f"edge sets differ in size ({len(a)} vs {len(b)})")
     if len(a) < 2:
         raise GraphError("need at least 2 edges for a rank correlation")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise GraphError("scores must be finite to be ranked")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise GraphError("degenerate ranking: all scores tied")
-    rho, _ = stats.spearmanr(a, b)
-    return float(rho)
+    return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; each tie group gets the mean of its positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(first) - 1]
+    return ranks
 
 
 MEASURES = ("resistance", "biharmonic2", "kharmonic2", "current-flow", "betweenness")

@@ -20,6 +20,14 @@ class DisconnectedGraphError(GraphError):
     """Raised when an operation requires a connected graph."""
 
 
+class EdgeError(GraphError):
+    """An invalid edge given to `build_graph`; carries its index."""
+
+    def __init__(self, e: int, u: int, v: int, message: str):
+        super().__init__(f"edge {e} ({u},{v}): {message}")
+        self.edge = e
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with positively weighted, ordered edges.
@@ -35,6 +43,10 @@ class Graph:
     _u: np.ndarray = field(init=False, repr=False, compare=False)
     _v: np.ndarray = field(init=False, repr=False, compare=False)
     _w: np.ndarray = field(init=False, repr=False, compare=False)
+    # connected components, computed on first use
+    _components: tuple[frozenset[int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         u = np.array([e[0] for e in self.edges], dtype=np.int64)
@@ -132,14 +144,14 @@ def build_graph(n: int, edges) -> Graph:
         w = float(rest[0]) if rest else 1.0
         u, v = int(u), int(v)
         if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphError(f"edge {e} ({u},{v}): endpoint out of range 0..{n - 1}")
+            raise EdgeError(e, u, v, f"endpoint out of range 0..{n - 1}")
         if u == v:
-            raise GraphError(f"edge {e} ({u},{v}): self-loop")
+            raise EdgeError(e, u, v, "self-loop")
         if w <= 0 or not np.isfinite(w):
-            raise GraphError(f"edge {e} ({u},{v}): weight must be positive, got {w}")
+            raise EdgeError(e, u, v, f"weight must be positive, got {w}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise GraphError(f"edge {e} ({u},{v}): duplicate edge")
+            raise EdgeError(e, u, v, "duplicate edge")
         seen.add(key)
         clean.append((u, v, w))
     return Graph(n, tuple(clean))
@@ -147,28 +159,34 @@ def build_graph(n: int, edges) -> Graph:
 
 def connected_components(g: Graph) -> list[set[int]]:
     """Partition of vertices by connectivity, ordered by smallest member."""
-    adj = g.neighbors_lists()
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+    return [set(c) for c in _components(g)]
+
+
+def _components(g: Graph) -> tuple[frozenset[int], ...]:
+    if g._components is None:
+        adj = g.neighbors_lists()
+        seen = [False] * g.n
+        comps = []
+        for start in range(g.n):
+            if seen[start]:
+                continue
+            comp = {start}
+            seen[start] = True
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y, _ in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.add(y)
+                        stack.append(y)
+            comps.append(frozenset(comp))
+        object.__setattr__(g, "_components", tuple(comps))
+    return g._components
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(_components(g)) == 1
 
 
 def require_connected(g: Graph) -> None:

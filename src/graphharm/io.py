@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph
+from .graph import EdgeError, Graph, GraphError, build_graph
 
 
 class ParseError(GraphError):
@@ -30,6 +30,7 @@ class ParseError(GraphError):
 
 def load_edge_list(path) -> Graph:
     raw: list[tuple[int, int, float]] = []
+    linenos: list[int] = []  # source line of each edge in raw
     declared_n = None
     first_data_line = True
     with open(path, encoding="utf-8") as fh:
@@ -45,6 +46,8 @@ def load_edge_list(path) -> Graph:
                     declared_n = int(parts[1])
                 except ValueError:
                     raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
+                if declared_n < 0:
+                    raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
                 first_data_line = False
                 continue
             first_data_line = False
@@ -56,12 +59,13 @@ def load_edge_list(path) -> Graph:
             except ValueError:
                 raise ParseError(path, lineno, f"could not parse edge {text!r}")
             raw.append((u, v, w))
+            linenos.append(lineno)
     if declared_n is None:
         declared_n = 1 + max((max(u, v) for u, v, _ in raw), default=-1)
     try:
         return build_graph(declared_n, raw)
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from exc
+    except EdgeError as exc:
+        raise ParseError(path, linenos[exc.edge], str(exc)) from exc
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cluster, flow, generators, harmonic, spectra
-from .graph import Graph, GraphError, bridges, build_graph, connected_components, cut_from_side, require_connected
+from .graph import Cut, Graph, GraphError, bridges, build_graph, connected_components, cut_from_side, require_connected
 
 
 @dataclass(frozen=True)
@@ -250,6 +250,39 @@ def _check_sweep_separation(g: Graph):
     return violations, violations
 
 
+def _sweep_cut_reference(g: Graph, x) -> Cut:
+    """Level-by-level oracle for `cluster.sweep_cut`: one full cut per
+    distinct threshold, O(levels * m)."""
+    x = cluster._sweep_levels(g, x)
+    levels = np.unique(x)
+    if len(levels) < 2:
+        raise GraphError("sweep vector is constant")
+    best: Cut | None = None
+    for t in levels[1:]:  # threshold at the minimum would select all of V
+        cut = cut_from_side(g, np.nonzero(x >= t)[0])
+        if (
+            best is None
+            or cut.ratio < best.ratio
+            or (cut.ratio == best.ratio and len(cut.side) > len(best.side))
+        ):
+            best = cut
+    return best
+
+
+def _check_sweep_cut(g: Graph):
+    dec = harmonic.decomposition(g)
+    rng = np.random.default_rng(5 * g.n + g.m)
+    vectors = []
+    for _ in range(2):
+        s, t = rng.choice(g.n, size=2, replace=False)
+        vectors.append(flow.st_potential(g, int(s), int(t), dec).values)
+    ties = rng.integers(0, 4, size=g.n)
+    ties[:2] = (0, 1)  # never constant
+    vectors.append(ties)
+    mismatches = float(sum(cluster.sweep_cut(g, x) != _sweep_cut_reference(g, x) for x in vectors))
+    return mismatches, mismatches
+
+
 def _check_derivative(g: Graph, h: float = 1e-4):
     # wide weight ranges inflate the O(h^2) truncation term together with
     # the derivative itself, so the deviation is normalized by its scale
@@ -264,7 +297,8 @@ def _check_derivative(g: Graph, h: float = 1e-4):
 
 
 def _check_deletion(g: Graph):
-    non_bridges = [e for e in range(g.m) if e not in set(bridges(g))]
+    bridge_set = set(bridges(g))
+    non_bridges = [e for e in range(g.m) if e not in bridge_set]
     if not non_bridges:
         return 0.0, 0.0, "no deletable edge"
     matched_names = set()
@@ -404,6 +438,7 @@ CHECKS: dict = {
     "cut_edge_resistance": (_check_cut_edge_resistance, 1e-9, ("tree",), None),
     "sparse_cut": (_check_sparse_cut, 1e-8, UNWEIGHTED_FAMILIES, 40),
     "sweep_separation": (_check_sweep_separation, 0.0, UNWEIGHTED_FAMILIES, 30),
+    "sweep_cut": (_check_sweep_cut, 0.0, UNWEIGHTED_FAMILIES, 30),
     "derivative": (_check_derivative, 1e-5, ("er_weighted", "tree_weighted"), 40),
     "deletion": (_check_deletion, 1e-8, ("er",), 20),
     "bounds": (_check_bounds, 1e-12, UNWEIGHTED_FAMILIES, 60),

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphharm
 from graphharm import generators, io
 from graphharm.cli import main
 
@@ -150,6 +155,24 @@ def test_malformed_graph_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1 1\n", "self-loop"),
+        ("0 1\n1 2\n1 0\n", "duplicate edge"),
+        ("n 3\n0 1\n1 3\n", "out of range"),
+    ],
+)
+def test_invalid_edge_is_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["centrality", "--graph", str(path), "--measure", "resistance"])
+    err = capsys.readouterr().err
+    assert code == 2
+    last_line = len(text.splitlines())
+    assert f"{path}:{last_line}: " in err and message in err
+
+
 def test_disconnected_graph_is_math_error(tmp_path, capsys):
     path = tmp_path / "disc.txt"
     path.write_text("n 4\n0 1\n2 3\n")
@@ -174,6 +197,17 @@ def test_bad_pair_is_usage_error(graph_file, capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _ = _run(capsys, ["distances", "--nope"])
     assert code == 4
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a heavy import here is paid by every CLI call
+    env = dict(os.environ)
+    pkg_root = str(Path(graphharm.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = "import graphharm.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_byte_identical_reruns(graph_file, capsys):

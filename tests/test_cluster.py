@@ -97,6 +97,13 @@ def test_sweep_cut_finds_sparse_cut(barbell):
     assert cut.ratio == pytest.approx(6 / 9)
 
 
+def test_sweep_cut_rejects_non_finite(barbell):
+    x = np.arange(6, dtype=float)
+    x[2] = np.nan
+    with pytest.raises(GraphError, match="non-finite"):
+        sweep_cut(barbell, x)
+
+
 def test_purity_extremes():
     truth = np.array([0, 0, 1, 1])
     assert purity(np.array([1, 1, 0, 0]), truth) == 1.0  # label permutation

@@ -108,6 +108,50 @@ def test_spearman_rejects_degenerate():
         spearman(b, EdgeScores(np.array([1.0, 2.0]), "short"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite(bad):
+    a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]), "a")
+    b = EdgeScores(np.array([1.0, bad, 3.0, 2.0]), "b")
+    with pytest.raises(GraphError, match="finite"):
+        spearman(a, b)
+    with pytest.raises(GraphError, match="finite"):
+        spearman(b, a)
+
+
+def _rank_pairs(seed):
+    """Tied and untied score vectors, including all-distinct and two-level ones."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 7, 40, 150):
+        yield rng.standard_normal(n), rng.standard_normal(n)
+        yield rng.integers(0, 3, n).astype(float), rng.integers(0, 5, n).astype(float)
+        x = np.round(rng.standard_normal(n), 1)
+        yield x, x + rng.integers(0, 2, n)
+
+
+def test_spearman_matches_scipy_exactly():
+    stats = pytest.importorskip("scipy.stats")
+    for a, b in _rank_pairs(0):
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            continue
+        expected = float(stats.spearmanr(a, b)[0])
+        assert spearman(EdgeScores(a, "a"), EdgeScores(b, "b")) == expected
+
+
+def test_spearman_matches_count_based_ranks():
+    def ranks(x):
+        # rank of x_i: 1 + #{x_j < x_i} + (#{x_j == x_i} - 1) / 2
+        return np.array([np.sum(x < xi) + (np.sum(x == xi) + 1) / 2 for xi in x])
+
+    for a, b in _rank_pairs(1):
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            continue
+        ra, rb = ranks(a) - np.mean(ranks(a)), ranks(b) - np.mean(ranks(b))
+        expected = float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+        assert spearman(EdgeScores(a, "a"), EdgeScores(b, "b")) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 def test_edge_measure_dispatch():
     g = generators.erdos_renyi(10, 0.5, seed=5)
     for name in flow.MEASURES:

@@ -67,6 +67,16 @@ def test_connected_components_splits():
         require_connected(g)
 
 
+def test_connected_components_returns_fresh_sets():
+    g = build_graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    comps = connected_components(g)
+    comps[0].add(4)
+    comps[1].clear()
+    comps.append({99})
+    assert connected_components(g) == [{0, 1}, {2, 3, 4}]
+    assert not is_connected(g)
+
+
 def test_with_weight_and_without_edge(p3):
     g2 = p3.with_weight(0, 5.0)
     assert g2.weights[0] == 5.0 and p3.weights[0] == 1.0
