@@ -1,6 +1,7 @@
 """st-potentials, st-electrical flows, and edge centrality measures.
 
-An st-potential is p_st = L^+(1_s - 1_t); the matching flow is
+An st-potential is p_st = L^+(1_s - 1_t) = Y (Y_s - Y_t) in the
+resistance embedding Y (`spectra.embedding` at k=1); the matching flow is
 f_st = W boundary^T p_st, signed relative to each edge's stored
 orientation.  The all-pairs centralities reuse one spectral decomposition
 and loop over source vertices, so the per-pair cost is O(m).
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, spectra
-from .graph import Graph, GraphError, require_connected
+from .graph import Graph, GraphError, require_connected, require_vertex
 from .harmonic import EdgeScores
 
 
@@ -32,11 +33,11 @@ class Flow:
 
 
 def st_potential(g: Graph, s: int, t: int, dec=None) -> Potential:
+    s, t = require_vertex(g, s), require_vertex(g, t)
     if s == t:
         raise GraphError("st-potential requires s != t")
-    dec = harmonic._connected_dec(g, dec)
-    M = spectra.pinv_power(dec, 1.0)
-    return Potential(s, t, M[:, s] - M[:, t])
+    Y = spectra.embedding(harmonic._connected_dec(g, dec), 1.0)
+    return Potential(s, t, Y @ (Y[s] - Y[t]))
 
 
 def flow_matrix(g: Graph, dec=None) -> np.ndarray:
@@ -47,22 +48,30 @@ def flow_matrix(g: Graph, dec=None) -> np.ndarray:
 
 
 def st_flow(g: Graph, s: int, t: int, dec=None) -> Flow:
+    s, t = require_vertex(g, s), require_vertex(g, t)
     if s == t:
         raise GraphError("st-flow requires s != t")
-    F = flow_matrix(g, dec)
-    return Flow(s, t, F[:, s] - F[:, t])
+    p = st_potential(g, s, t, dec).values
+    return Flow(s, t, g._w * (p[g._u] - p[g._v]))
+
+
+def circulation_projector(g: Graph) -> np.ndarray:
+    """The m x m orthogonal projector onto ker boundary (the circulations)."""
+    B = g.boundary()
+    return np.eye(g.m) - np.linalg.pinv(B) @ B
 
 
 def min_norm_certificate(
-    g: Graph, f: Flow, trials: int = 20, seed: int = 0, tol: float = 1e-8
+    g: Graph, f: Flow, trials: int = 20, seed: int = 0, tol: float = 1e-8, projector=None
 ) -> bool:
     """Check f is the minimum-energy flow for its divergence.
 
     The electrical flow is W^{-1}-orthogonal to every circulation
     (ker boundary); sample random circulations and test the inner product.
+    `projector`, if given, is `circulation_projector(g)`, computed once by
+    a caller that certifies several flows on g.
     """
-    B = g.boundary()
-    P = np.eye(g.m) - np.linalg.pinv(B) @ B  # projector onto ker boundary
+    P = circulation_projector(g) if projector is None else projector
     rng = np.random.default_rng(seed)
     target = f.values / g.weights
     scale = max(1.0, float(np.linalg.norm(target)))

@@ -47,6 +47,8 @@ class Graph:
     _components: tuple[frozenset[int], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Laplacian eigendecomposition, set by harmonic.decomposition on first use
+    _decomposition: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array([e[0] for e in self.edges], dtype=np.int64)
@@ -192,6 +194,13 @@ def is_connected(g: Graph) -> bool:
 def require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
+
+
+def require_vertex(g: Graph, v) -> int:
+    """v as a Python int, if it is an integer vertex index in 0..n-1."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or not 0 <= v < g.n:
+        raise GraphError(f"vertex {v!r} is not an integer in 0..{g.n - 1}")
+    return int(v)
 
 
 def bridges(g: Graph) -> list[int]:

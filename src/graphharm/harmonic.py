@@ -5,8 +5,10 @@ The k-harmonic distance between s and t is
     H^k_st = sqrt((1_s - 1_t)^T (L^+)^k (1_s - 1_t)),
 
 so (H^1)^2 is the effective resistance and H^2 the biharmonic distance.
-All pair quantities are read off entries of (L^+)^k as
-M_ss + M_tt - 2 M_st after one O(n^3) decomposition.
+It is the distance ||Y_s - Y_t|| in the embedding Y = X lambda^{-k/2}
+(`spectra.embedding`), so after one O(n^3) decomposition, memoised on
+the Graph, a pair costs O(n), the m edges O(m n), and the matrix one
+product Y Y^T = (L^+)^k.
 
 All-pairs sums (total resistance included) run over UNORDERED pairs, the
 convention under which the Foster-style identities close numerically.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .graph import Graph, GraphError, bridges, connected_components, require_connected
+from .graph import Graph, GraphError, bridges, connected_components, require_connected, require_vertex
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,14 @@ class EdgeScores:
 
 
 def decomposition(g: Graph) -> spectra.SpectralDecomposition:
-    return spectra.decompose(g.laplacian())
+    """The eigendecomposition of g's Laplacian, computed once per Graph.
+
+    It is kept on g (n^2 floats) and freed with it; its arrays are
+    read-only, so every caller can share it.
+    """
+    if g._decomposition is None:
+        object.__setattr__(g, "_decomposition", spectra.decompose(g.laplacian()))
+    return g._decomposition
 
 
 def _connected_dec(g: Graph, dec=None) -> spectra.SpectralDecomposition:
@@ -59,37 +68,44 @@ def pair_quadratic(M: np.ndarray, s: int, t: int) -> float:
     return float(M[s, s] + M[t, t] - 2.0 * M[s, t])
 
 
+def _sq_matrix(Y: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of Y, exactly symmetric.
+
+    numpy computes Y @ Y.T as a symmetric rank-r update; d_i + d_j - 2 M_ij
+    is then evaluated in that order, which keeps the result symmetric too.
+    """
+    M = Y @ Y.T
+    del Y  # lowers the peak by n*r floats; the caller passes a temporary
+    d = M.diagonal().copy()
+    M *= 2.0
+    D2 = d[:, None] + d[None, :]
+    D2 -= M
+    np.fill_diagonal(D2, 0.0)
+    return np.maximum(D2, 0.0, out=D2)
+
+
 def kharmonic_sq_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
     """Symmetric matrix of squared k-harmonic distances (H^k)^2."""
-    dec = _connected_dec(g, dec)
-    M = spectra.pinv_power(dec, k)
-    d = np.diag(M)
-    D2 = d[:, None] + d[None, :] - 2.0 * M
-    np.fill_diagonal(D2, 0.0)
-    return np.maximum(D2, 0.0)
+    return _sq_matrix(spectra.embedding(_connected_dec(g, dec), k))
 
 
 def kharmonic_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
-    return np.sqrt(kharmonic_sq_matrix(g, k, dec))
+    D2 = kharmonic_sq_matrix(g, k, dec)
+    return np.sqrt(D2, out=D2)
 
 
 def kharmonic_distance(g: Graph, k: float, s: int, t: int, dec=None) -> float:
+    s, t = require_vertex(g, s), require_vertex(g, t)
     if s == t:
         require_connected(g)
         return 0.0
     dec = _connected_dec(g, dec)
-    M = spectra.pinv_power(dec, k)
-    return float(np.sqrt(max(pair_quadratic(M, s, t), 0.0)))
+    return float(np.sqrt(spectra.embedding_sq_distances(dec, k, [s], [t])[0]))
 
 
 def kharmonic_rank_sq_matrix(g: Graph, k: float, r: int, dec=None) -> np.ndarray:
     """Squared rank-r k-harmonic distances (H^{k,r})^2."""
-    dec = _connected_dec(g, dec)
-    M = spectra.low_rank_power(dec, k, r)
-    d = np.diag(M)
-    D2 = d[:, None] + d[None, :] - 2.0 * M
-    np.fill_diagonal(D2, 0.0)
-    return np.maximum(D2, 0.0)
+    return _sq_matrix(spectra.embedding(_connected_dec(g, dec), k, r))
 
 
 def effective_resistance(g: Graph, s: int, t: int, dec=None) -> float:
@@ -107,9 +123,8 @@ def biharmonic_distance(g: Graph, s: int, t: int, dec=None) -> float:
 
 def edge_kharmonic_sq(g: Graph, k: float, dec=None) -> EdgeScores:
     """(H^k_e)^2 for every edge, as scores."""
-    D2 = kharmonic_sq_matrix(g, k, dec)
-    vals = np.array([D2[u, v] for u, v, _ in g.edges])
-    return EdgeScores(vals, f"(H^{k:g}_e)^2")
+    dec = _connected_dec(g, dec)
+    return EdgeScores(spectra.embedding_sq_distances(dec, k, g._u, g._v), f"(H^{k:g}_e)^2")
 
 
 def biharmonic_edge_sq(g: Graph, dec=None) -> EdgeScores:
@@ -205,8 +220,5 @@ def kharmonic_component_edge_sq(g: Graph, k: float) -> EdgeScores:
         )
         if sub.m == 0:
             continue
-        D2 = kharmonic_sq_matrix(sub, k)
-        for e in edge_ids:
-            u, v, _ = g.edges[e]
-            vals[e] = D2[index[u], index[v]]
+        vals[edge_ids] = edge_kharmonic_sq(sub, k).values
     return EdgeScores(vals, f"(H^{k:g}_e)^2 per component")

@@ -114,12 +114,8 @@ def low_rank_power(dec: SpectralDecomposition, k: float, r: int) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.ndarray:
-    """Vertex embedding whose pairwise distances realize H^k (or H^{k,r}).
-
-    Row v has coordinates lambda_i^{-k/2} * x_i(v) over the selected
-    eigenvalues: all strictly positive ones, or the smallest r.
-    """
+def _selected(dec: SpectralDecomposition, k: float, r: int | None):
+    """Eigenvectors and lambda^{-k/2} factors behind embedding(dec, k, r)."""
     if r is None:
         if dec.kernel_dim != 1:
             raise SpectraError(
@@ -130,6 +126,35 @@ def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.
     max_r = dec.n - dec.kernel_dim
     if not (1 <= r <= max_r):
         raise SpectraError(f"rank r={r} out of range 1..{max_r}")
-    X = dec.positive_eigenvectors[:, :r]
-    half = np.sqrt(power_coefficients(dec, k)[:r])
+    return dec.positive_eigenvectors[:, :r], np.sqrt(power_coefficients(dec, k)[:r])
+
+
+def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.ndarray:
+    """Vertex embedding whose pairwise distances realize H^k (or H^{k,r}).
+
+    Row v has coordinates lambda_i^{-k/2} * x_i(v) over the selected
+    eigenvalues: all strictly positive ones, or the smallest r.
+    """
+    X, half = _selected(dec, k, r)
     return X * half
+
+
+# A block of rows read by embedding_sq_distances holds about this many
+# floats, so its temporaries stay small at any n.
+_BLOCK_ELEMENTS = 2**15
+
+
+def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t) -> np.ndarray:
+    """||Y_s[i] - Y_t[i]||^2 for index arrays s and t, Y = embedding(dec, k).
+
+    Only the rows read are formed, in blocks of about 2**15 floats:
+    O(len(s) * n) time and no n x n temporary.
+    """
+    X, half = _selected(dec, k, None)
+    s, t = np.asarray(s), np.asarray(t)
+    out = np.empty(len(s))
+    step = max(1, _BLOCK_ELEMENTS // len(half))
+    for i in range(0, len(s), step):
+        d = (X[s[i:i + step]] - X[t[i:i + step]]) * half
+        out[i:i + step] = np.einsum("ij,ij->i", d, d)
+    return out

@@ -375,6 +375,7 @@ def _check_potentials(g: Graph):
 def _check_flows(g: Graph):
     dec = harmonic.decomposition(g)
     B = g.boundary()
+    P = flow.circulation_projector(g)
     rng = np.random.default_rng(g.n + 7 * g.m)
     worst = (0.0, 0.0)
     for _ in range(5):
@@ -388,7 +389,7 @@ def _check_flows(g: Graph):
         worst = max(
             worst, _rel(energy, harmonic.effective_resistance(g, int(s), int(t), dec))
         )
-        if not flow.min_norm_certificate(g, f):
+        if not flow.min_norm_certificate(g, f, projector=P):
             worst = max(worst, (1.0, 1.0))
     return worst
 
@@ -425,6 +426,56 @@ def _check_oracle(g: Graph):
     return worst
 
 
+def _rel_all(lhs, rhs) -> tuple[float, float]:
+    """Worst entrywise _rel of two arrays."""
+    a = np.abs(np.asarray(lhs) - rhs)
+    return float(np.max(a)), float(np.max(a / np.maximum(1.0, np.abs(rhs))))
+
+
+def _sq_matrix_reference(M: np.ndarray) -> np.ndarray:
+    """Squared distances read entrywise off M = (L^+)^k: M_ss + M_tt - 2 M_st."""
+    d = np.diag(M)
+    D2 = d[:, None] + d[None, :] - 2.0 * M
+    np.fill_diagonal(D2, 0.0)
+    return np.maximum(D2, 0.0)
+
+
+def _check_spectral_reads(g: Graph):
+    """Embedding reads (pairs, edges, matrices, potentials, flows) against
+    the (L^+)^k matrices they replace, the matrices' exact symmetry, and
+    the memoised decomposition against a fresh one."""
+    dec = harmonic.decomposition(g)
+    fresh = spectra.decompose(g.laplacian())
+    same = (
+        dec is harmonic.decomposition(g)
+        and np.array_equal(dec.eigenvalues, fresh.eigenvalues)
+        and np.array_equal(dec.eigenvectors, fresh.eigenvectors)
+        and (dec.kernel_dim, dec.zero_tol) == (fresh.kernel_dim, fresh.zero_tol)
+    )
+    worst = (0.0, 0.0) if same else (1.0, 1.0)
+    rng = np.random.default_rng(11 * g.n + g.m)
+    pairs = [tuple(int(x) for x in rng.choice(g.n, size=2, replace=False)) for _ in range(4)]
+    r = max(1, (g.n - 1) // 2)
+    for k in (1.0, 2.0, 2.5):
+        M = spectra.pinv_power(dec, k)
+        D2 = _sq_matrix_reference(M)
+        for fast, slow in (
+            (harmonic.kharmonic_sq_matrix(g, k, dec), D2),
+            (harmonic.kharmonic_rank_sq_matrix(g, k, r, dec), _sq_matrix_reference(spectra.low_rank_power(dec, k, r))),
+        ):
+            worst = max(worst, _rel_all(fast, slow) if np.array_equal(fast, fast.T) else (1.0, 1.0))
+        for s, t in pairs:
+            slow = np.sqrt(max(harmonic.pair_quadratic(M, s, t), 0.0))
+            worst = max(worst, _rel(harmonic.kharmonic_distance(g, k, s, t, dec), slow))
+        worst = max(worst, _rel_all(harmonic.edge_kharmonic_sq(g, k, dec).values, D2[g._u, g._v]))
+    M = spectra.pinv_power(dec, 1.0)
+    F = flow.flow_matrix(g, dec)
+    for s, t in pairs:
+        worst = max(worst, _rel_all(flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
+        worst = max(worst, _rel_all(flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))
+    return worst
+
+
 # name -> (fn, threshold, families, max_n)
 CHECKS: dict = {
     "foster": (_check_foster, 1e-8, FAMILIES, None),
@@ -447,6 +498,7 @@ CHECKS: dict = {
     "flows": (_check_flows, 1e-8, FAMILIES, None),
     "cut_flow": (_check_cut_flow, 1e-8, UNWEIGHTED_FAMILIES, 40),
     "oracle": (_check_oracle, 1e-6, FAMILIES, 25),
+    "spectral_reads": (_check_spectral_reads, 1e-10, FAMILIES, 30),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from graphharm import flow, generators, harmonic
 from graphharm.flow import (
+    circulation_projector,
     current_flow_centrality,
     edge_betweenness,
     edge_measure,
@@ -65,6 +66,12 @@ def test_min_norm_certificate():
     bumped = flow.Flow(good.source, good.target,
                        good.values + np.array([1.0, 1.0, 1.0, 1.0]))
     assert not min_norm_certificate(cyc, bumped)
+    # a projector computed once serves every flow on its graph
+    P = circulation_projector(cyc)
+    assert np.allclose(P @ P, P, atol=1e-12)
+    assert np.allclose(cyc.boundary() @ P, 0.0, atol=1e-12)
+    assert min_norm_certificate(cyc, good, projector=P)
+    assert not min_norm_certificate(cyc, bumped, projector=P)
 
 
 def test_squared_flow_matches_closed_form():

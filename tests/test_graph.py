@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphharm import generators
+from graphharm import generators, harmonic
 from graphharm.graph import (
     DisconnectedGraphError,
     GraphError,
@@ -122,3 +122,11 @@ def test_cut_from_side(barbell):
     assert cut.crossing_edges == (3,)
     # ratio = n * crossing / (|S| * |V\S|)
     assert cut.ratio == pytest.approx(6 * 1 / (3 * 3))
+
+
+def test_memoised_decomposition_leaves_equality_and_repr_alone():
+    a = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    b = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    harmonic.decomposition(a)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "Graph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))"

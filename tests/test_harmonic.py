@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphharm import generators, harmonic
+from graphharm import flow, generators, harmonic, spectra
+from graphharm.graph import GraphError
 from graphharm.harmonic import (
     EdgeScores,
     biharmonic_distance,
@@ -126,3 +127,64 @@ def test_foster_identity_random(seed, n):
     g = generators.erdos_renyi(n, 0.5, seed)
     r = edge_kharmonic_sq(g, 1.0).values
     assert float(np.sum(g.weights * r)) == pytest.approx(n - 1, rel=1e-9)
+
+
+def test_decomposition_is_memoised_per_graph():
+    g = generators.erdos_renyi(12, 0.5, seed=3)
+    dec = harmonic.decomposition(g)
+    assert harmonic.decomposition(g) is dec
+    for derived in (g.with_weight(0, 2.0), g.without_edge(0), g.with_edges_added([])):
+        own = harmonic.decomposition(derived)
+        assert own is not dec
+        fresh = spectra.decompose(derived.laplacian())
+        assert np.array_equal(own.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(own.eigenvectors, fresh.eigenvectors)
+
+
+def test_explicit_dec_is_used_as_given():
+    g = generators.erdos_renyi(12, 0.5, seed=3)
+    heavier = g.with_weight(0, 5.0)
+    other = harmonic.decomposition(heavier)
+    u, v, _ = g.edges[0]
+    assert effective_resistance(g, u, v, other) == effective_resistance(heavier, u, v)
+    assert effective_resistance(g, u, v, other) < effective_resistance(g, u, v)
+    assert np.array_equal(edge_kharmonic_sq(g, 2.0, other).values, edge_kharmonic_sq(heavier, 2.0).values)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 4.0, 1.0, True, np.float64(1.0), "1", None])
+def test_vertex_indices_must_be_integers_in_range(p4, bad):
+    calls = (
+        lambda s, t: effective_resistance(p4, s, t),
+        lambda s, t: biharmonic_distance(p4, s, t),
+        lambda s, t: harmonic.kharmonic_distance(p4, 2.5, s, t),
+        lambda s, t: flow.st_potential(p4, s, t),
+        lambda s, t: flow.st_flow(p4, s, t),
+    )
+    for call in calls:
+        for s, t in ((bad, 0), (0, bad), (bad, bad)):
+            with pytest.raises(GraphError, match="not an integer"):
+                call(s, t)
+
+
+def test_numpy_integer_vertices_are_accepted(p4):
+    assert effective_resistance(p4, np.int64(0), np.int32(3)) == pytest.approx(3.0, abs=1e-12)
+    assert flow.st_potential(p4, np.int64(0), 3).source == 0
+
+
+def test_reads_build_no_full_matrix(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("full (L^+)^k built on a read path")
+
+    monkeypatch.setattr(spectra, "pinv_power", refuse)
+    monkeypatch.setattr(spectra, "low_rank_power", refuse)
+    g = random_weighted(14, 0.4, seed=7)
+    effective_resistance(g, 0, 5)
+    biharmonic_distance(g, 0, 5)
+    harmonic.kharmonic_distance(g, 2.5, 0, 5)
+    edge_kharmonic_sq(g, 1.5)
+    biharmonic_edge_sq(g)
+    harmonic.kharmonic_component_edge_sq(g.without_edge(0), 2.0)
+    for measure in ("resistance", "biharmonic2"):
+        flow.edge_measure(g, measure)
+    flow.st_potential(g, 0, 5)
+    flow.st_flow(g, 0, 5)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from graphharm import generators, spectra
-from graphharm.spectra import SpectraError, decompose, embedding, low_rank_power, pinv_power
+from graphharm.spectra import (
+    SpectraError,
+    decompose,
+    embedding,
+    embedding_sq_distances,
+    low_rank_power,
+    pinv_power,
+)
 
 
 def _lap(n=10, p=0.5, seed=1):
@@ -106,3 +113,16 @@ def test_power_coefficients_underflow_is_clamped():
     coeffs = spectra.power_coefficients(dec, 5000.0)
     assert np.all(np.isfinite(coeffs))
     assert np.all(coeffs >= 0)
+
+
+def test_embedding_sq_distances_match_embedding_rows():
+    # n = 300 puts more pairs in one call than fit in one block
+    g = generators.erdos_renyi(300, 0.03, seed=2)
+    dec = decompose(g.laplacian())
+    rng = np.random.default_rng(0)
+    s, t = rng.integers(0, g.n, size=(2, 500))
+    for k in (1.0, 2.5):
+        Y = embedding(dec, k)
+        expect = np.sum((Y[s] - Y[t]) ** 2, axis=1)
+        assert np.allclose(embedding_sq_distances(dec, k, s, t), expect, rtol=1e-12, atol=0)
+    assert embedding_sq_distances(dec, 1.0, [], []).shape == (0,)
