@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, harmonic, spectra
-from .graph import Cut, Graph, GraphError, connected_components, cut_from_side, require_connected
+from .graph import Cut, Graph, GraphError, component_subgraphs, connected_components, cut_from_side
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ GN_MEASURES = ("biharmonic2", "kharmonic2", "betweenness")
 def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0) -> Clustering:
     """Delete the globally maximal edge until >= c components remain.
 
-    The edge measure is recomputed after every deletion; distance measures
-    are evaluated within each current connected component.  Ties break
+    The edge measure is recomputed after every deletion, within each
+    current connected component (`component_subgraphs`).  Ties break
     toward the lowest edge index, so the algorithm is deterministic.
     """
     if c > g.n:
@@ -137,10 +137,10 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
         k = 2.0
     work = g
     while len(connected_components(work)) < c and work.m > 0:
-        if measure == "betweenness":
-            vals = _componentwise_betweenness(work)
-        else:
-            vals = harmonic.kharmonic_component_edge_sq(work, k).values
+        vals = np.empty(work.m)
+        for sub, edge_ids in component_subgraphs(work):
+            if sub.m:
+                vals[edge_ids] = flow.edge_measure(sub, measure, k).values
         e_max = int(np.lexsort((np.arange(len(vals)), -vals))[0])
         work = work.without_edge(e_max)
     comps = connected_components(work)
@@ -153,27 +153,6 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
         len(comps),
         {"algorithm": f"girvan_newman[{measure}]", "params": {"k": k, "c": c}, "seed": None},
     )
-
-
-def _componentwise_betweenness(g: Graph) -> np.ndarray:
-    vals = np.zeros(g.m)
-    for comp in connected_components(g):
-        verts = sorted(comp)
-        index = {v: i for i, v in enumerate(verts)}
-        edge_ids = [e for e, (u, v, _) in enumerate(g.edges) if u in comp]
-        if not edge_ids:
-            continue
-        sub = Graph(
-            len(verts),
-            tuple(
-                (index[g.edges[e][0]], index[g.edges[e][1]], g.edges[e][2])
-                for e in edge_ids
-            ),
-        )
-        sub_scores = flow.edge_betweenness(sub).values
-        for local, e in enumerate(edge_ids):
-            vals[e] = sub_scores[local]
-    return vals
 
 
 def sweep_cut(g: Graph, x) -> Cut:

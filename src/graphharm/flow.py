@@ -3,7 +3,7 @@
 An st-potential is p_st = L^+(1_s - 1_t) = Y (Y_s - Y_t) in the
 resistance embedding Y (`spectra.embedding` at k=1); the matching flow is
 f_st = W boundary^T p_st, signed relative to each edge's stored
-orientation.  The all-pairs centralities reuse one spectral decomposition
+orientation.  The all-pairs centralities read the flows off one embedding
 and loop over source vertices, so the per-pair cost is O(m).
 """
 
@@ -38,13 +38,6 @@ def st_potential(g: Graph, s: int, t: int, dec=None) -> Potential:
         raise GraphError("st-potential requires s != t")
     Y = spectra.embedding(harmonic._connected_dec(g, dec), 1.0)
     return Potential(s, t, Y @ (Y[s] - Y[t]))
-
-
-def flow_matrix(g: Graph, dec=None) -> np.ndarray:
-    """F = W boundary^T L^+ (m x n); f_st is column s minus column t."""
-    dec = harmonic._connected_dec(g, dec)
-    M = spectra.pinv_power(dec, 1.0)
-    return (g.weights[:, None] * g.boundary().T) @ M
 
 
 def st_flow(g: Graph, s: int, t: int, dec=None) -> Flow:
@@ -89,34 +82,42 @@ def min_norm_certificate(
 def generalized_flow_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
     """Rows (weighted_boundary 1_e)^T (L^+)^k, an m x n matrix.
 
-    At k=1 row e against (1_s - 1_t) gives f_st(e)/sqrt(w_e).
+    Row e is sqrt(w_e) (M[u_e] - M[v_e]) with M = Y Y^T = (L^+)^k and
+    Y = embedding(dec, k).  At k=1 row e against (1_s - 1_t) gives
+    f_st(e)/sqrt(w_e).
     """
-    dec = harmonic._connected_dec(g, dec)
-    return g.weighted_boundary().T @ spectra.pinv_power(dec, k)
+    Y = spectra.embedding(harmonic._connected_dec(g, dec), k)
+    M = Y @ Y.T
+    del Y
+    F = M[g._u]
+    F -= M[g._v]
+    F *= np.sqrt(g._w)[:, None]
+    return F
+
+
+def _pair_sums(F: np.ndarray, term) -> np.ndarray:
+    """Per row of F, the sum over column pairs s < t of term(F[:, s] - F[:, t])."""
+    acc = np.zeros(F.shape[0])
+    for s in range(F.shape[1] - 1):
+        acc += np.sum(term(F[:, s][:, None] - F[:, s + 1:]), axis=1)
+    return acc
 
 
 def squared_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     """Per edge, sum over unordered pairs of f_st(e)^2 / w_e.
 
-    Computed from explicit all-pairs flows; this is the brute-force
-    counterpart of the n * w_e * B_e^2 identity, kept as an independent
-    route.
+    f_st(e)/sqrt(w_e) is G[e, s] - G[e, t] in the k=1 generalized flow
+    matrix G; this brute-force sum is the counterpart of the
+    n * w_e * B_e^2 identity, kept as an independent route.
     """
-    F = flow_matrix(g, dec)
-    acc = np.zeros(g.m)
-    for s in range(g.n - 1):
-        diffs = F[:, s][:, None] - F[:, s + 1:]
-        acc += np.sum(diffs**2, axis=1)
-    return EdgeScores(acc / g.weights, "sum f_st(e)^2/w_e")
+    return EdgeScores(_pair_sums(generalized_flow_matrix(g, 1.0, dec), np.square), "sum f_st(e)^2/w_e")
 
 
 def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     """C_e = sum over unordered pairs of |f_st(e)|."""
-    F = flow_matrix(g, dec)
-    acc = np.zeros(g.m)
-    for s in range(g.n - 1):
-        acc += np.sum(np.abs(F[:, s][:, None] - F[:, s + 1:]), axis=1)
-    return EdgeScores(acc, "C_e")
+    F = generalized_flow_matrix(g, 1.0, dec)
+    F *= np.sqrt(g._w)[:, None]
+    return EdgeScores(_pair_sums(F, np.abs), "C_e")
 
 
 def edge_betweenness(g: Graph) -> EdgeScores:
@@ -157,7 +158,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
 
 
 def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation, with average ranks for ties up to rounding (`_average_ranks`)."""
     a, b = scores_a.values, scores_b.values
     if len(a) != len(b):
         raise GraphError(f"edge sets differ in size ({len(a)} vs {len(b)})")
@@ -165,17 +166,21 @@ def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
         raise GraphError("need at least 2 edges for a rank correlation")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise GraphError("scores must be finite to be ranked")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise GraphError("degenerate ranking: all scores tied")
     return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; each tie group gets the mean of its positions."""
+    """1-based ranks; each tie group gets the mean of its positions.
+
+    A new group starts only at a sorted gap above 1e-12 * max|x|: scores
+    equal in exact arithmetic differ by route-dependent rounding.
+    """
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    first = np.concatenate(([True], np.diff(xs) > 1e-12 * np.max(np.abs(xs))))
     starts = np.flatnonzero(first)
+    if len(starts) == 1:
+        raise GraphError("degenerate ranking: all scores tied")
     ends = np.append(starts[1:], len(x))
     ranks = np.empty(len(x))
     ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(first) - 1]

@@ -83,6 +83,9 @@ def sbm(cluster_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.
     sizes = [int(s) for s in cluster_sizes]
     if not sizes or any(s <= 0 for s in sizes):
         raise GraphError("cluster sizes must be a nonempty list of positive counts")
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not (0.0 <= p <= 1.0):
+            raise GraphError(f"{name} must be in [0,1], got {p}")
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     for attempt in range(MAX_CONNECT_ATTEMPTS):

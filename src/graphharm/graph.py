@@ -187,6 +187,33 @@ def _components(g: Graph) -> tuple[frozenset[int], ...]:
     return g._components
 
 
+def component_subgraphs(g: Graph) -> list[tuple[Graph, np.ndarray]]:
+    """Each connected component as (subgraph, indices in g of its edges).
+
+    Components come in `connected_components` order.  A component's
+    vertices are relabelled 0.. in increasing order and its edges keep g's
+    order, so a score computed on the subgraph is the score of g's edge.
+    Each subgraph is known to be connected, so no search runs on it again.
+    """
+    comps = _components(g)
+    comp_of = np.empty(g.n, dtype=np.int64)
+    local = np.empty(g.n, dtype=np.int64)
+    for c, comp in enumerate(comps):
+        verts = sorted(comp)
+        comp_of[verts] = c
+        local[verts] = np.arange(len(verts))
+    edge_comp = comp_of[g._u]
+    counts = np.bincount(edge_comp, minlength=len(comps))
+    groups = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(counts)[:-1])
+    out = []
+    for comp, ids in zip(comps, groups):
+        edges = zip(local[g._u[ids]].tolist(), local[g._v[ids]].tolist(), g._w[ids].tolist())
+        sub = Graph(len(comp), tuple(edges))
+        object.__setattr__(sub, "_components", (frozenset(range(len(comp))),))
+        out.append((sub, ids))
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(_components(g)) == 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .graph import Graph, GraphError, bridges, connected_components, require_connected, require_vertex
+from .graph import Graph, GraphError, bridges, require_connected, require_vertex
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,13 @@ def decomposition(g: Graph) -> spectra.SpectralDecomposition:
 
 
 def _connected_dec(g: Graph, dec=None) -> spectra.SpectralDecomposition:
+    """g's own decomposition, or `dec`, which must be of a graph on g's vertices."""
     require_connected(g)
-    return dec if dec is not None else decomposition(g)
+    if dec is None:
+        return decomposition(g)
+    if dec.n != g.n:
+        raise GraphError(f"decomposition is of a graph on {dec.n} vertices, not {g.n}")
+    return dec
 
 
 def pair_quadratic(M: np.ndarray, s: int, t: int) -> float:
@@ -197,28 +202,3 @@ def edge_deletion_check(g: Graph, e: int, tol: float = 1e-8):
             break
     return lhs, candidates, matched
 
-
-def kharmonic_component_edge_sq(g: Graph, k: float) -> EdgeScores:
-    """(H^k_e)^2 per edge, computed within each connected component.
-
-    Used by Girvan-Newman once deletions disconnect the graph: distances
-    are only defined inside a component, so each component is solved
-    separately and the scores are stitched back in edge order.
-    """
-    vals = np.empty(g.m)
-    comps = connected_components(g)
-    for comp in comps:
-        verts = sorted(comp)
-        index = {v: i for i, v in enumerate(verts)}
-        edge_ids = [e for e, (u, v, _) in enumerate(g.edges) if u in comp]
-        sub = Graph(
-            len(verts),
-            tuple(
-                (index[g.edges[e][0]], index[g.edges[e][1]], g.edges[e][2])
-                for e in edge_ids
-            ),
-        )
-        if sub.m == 0:
-            continue
-        vals[edge_ids] = edge_kharmonic_sq(sub, k).values
-    return EdgeScores(vals, f"(H^{k:g}_e)^2 per component")

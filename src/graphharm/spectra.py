@@ -92,24 +92,21 @@ def power_coefficients(dec: SpectralDecomposition, k: float) -> np.ndarray:
     return np.maximum(coeffs, _COEFF_FLOOR)
 
 
-def pinv_power(dec: SpectralDecomposition, k: float) -> np.ndarray:
-    """(L^+)^k = sum over positive eigenvalues of lambda^{-k} x x^T.
+def pinv_power(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.ndarray:
+    """(L^+)^k = sum over positive eigenvalues of lambda^{-k} x x^T, or its
+    truncation to the r smallest positive eigenvalues.
 
-    k=0 yields the orthogonal projection onto the image of L.
+    k=0 yields the orthogonal projection onto the image of L.  The library
+    reads every quantity off `embedding` instead; this n x n product is the
+    slow route that `validate` and the tests compare those reads against.
     """
     X = dec.positive_eigenvectors
     coeffs = power_coefficients(dec, k)
-    M = (X * coeffs) @ X.T
-    return (M + M.T) / 2.0
-
-
-def low_rank_power(dec: SpectralDecomposition, k: float, r: int) -> np.ndarray:
-    """Truncation of pinv_power to the r smallest positive eigenvalues."""
-    max_r = dec.n - dec.kernel_dim
-    if not (1 <= r <= max_r):
-        raise SpectraError(f"rank r={r} out of range 1..{max_r}")
-    X = dec.positive_eigenvectors[:, :r]
-    coeffs = power_coefficients(dec, k)[:r]
+    if r is not None:
+        max_r = dec.n - dec.kernel_dim
+        if not (1 <= r <= max_r):
+            raise SpectraError(f"rank r={r} out of range 1..{max_r}")
+        X, coeffs = X[:, :r], coeffs[:r]
     M = (X * coeffs) @ X.T
     return (M + M.T) / 2.0
 

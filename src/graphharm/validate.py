@@ -441,9 +441,10 @@ def _sq_matrix_reference(M: np.ndarray) -> np.ndarray:
 
 
 def _check_spectral_reads(g: Graph):
-    """Embedding reads (pairs, edges, matrices, potentials, flows) against
-    the (L^+)^k matrices they replace, the matrices' exact symmetry, and
-    the memoised decomposition against a fresh one."""
+    """Embedding reads (pairs, edges, matrices, potentials, flows,
+    generalized flows) against the (L^+)^k matrices they replace, the
+    matrices' exact symmetry, and the memoised decomposition against a
+    fresh one."""
     dec = harmonic.decomposition(g)
     fresh = spectra.decompose(g.laplacian())
     same = (
@@ -461,15 +462,16 @@ def _check_spectral_reads(g: Graph):
         D2 = _sq_matrix_reference(M)
         for fast, slow in (
             (harmonic.kharmonic_sq_matrix(g, k, dec), D2),
-            (harmonic.kharmonic_rank_sq_matrix(g, k, r, dec), _sq_matrix_reference(spectra.low_rank_power(dec, k, r))),
+            (harmonic.kharmonic_rank_sq_matrix(g, k, r, dec), _sq_matrix_reference(spectra.pinv_power(dec, k, r))),
         ):
             worst = max(worst, _rel_all(fast, slow) if np.array_equal(fast, fast.T) else (1.0, 1.0))
         for s, t in pairs:
             slow = np.sqrt(max(harmonic.pair_quadratic(M, s, t), 0.0))
             worst = max(worst, _rel(harmonic.kharmonic_distance(g, k, s, t, dec), slow))
         worst = max(worst, _rel_all(harmonic.edge_kharmonic_sq(g, k, dec).values, D2[g._u, g._v]))
+        worst = max(worst, _rel_all(flow.generalized_flow_matrix(g, k, dec), g.weighted_boundary().T @ M))
     M = spectra.pinv_power(dec, 1.0)
-    F = flow.flow_matrix(g, dec)
+    F = (g.weights[:, None] * g.boundary().T) @ M
     for s, t in pairs:
         worst = max(worst, _rel_all(flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
         worst = max(worst, _rel_all(flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))

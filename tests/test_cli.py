@@ -187,6 +187,13 @@ def test_impossible_generation_is_math_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("p_in", ["1.5", "-0.2", "nan"])
+def test_bad_sbm_probability_is_usage_error(tmp_path, capsys, p_in):
+    code, _ = _run(capsys, ["generate", "--model", "sbm", "--sizes", "5,5", "--p-in", p_in,
+                            "--p-out", "0.1", "--out", str(tmp_path / "x.txt")])
+    assert code == 4
+
+
 def test_bad_pair_is_usage_error(graph_file, capsys):
     path, _ = graph_file
     code, _ = _run(capsys, ["distances", "--graph", path, "--k", "1",

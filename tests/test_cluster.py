@@ -11,7 +11,7 @@ from graphharm.cluster import (
     spectral_clustering,
     sweep_cut,
 )
-from graphharm.graph import GraphError
+from graphharm.graph import GraphError, build_graph
 
 
 def _two_blobs(seed=0):
@@ -77,6 +77,32 @@ def test_spectral_requires_fewer_clusters_than_vertices():
 def test_girvan_newman_splits_barbell(barbell, measure):
     res = girvan_newman(barbell, 2, measure=measure)
     assert set(np.where(res.assignment == res.assignment[0])[0]) in ({0, 1, 2}, {3, 4, 5})
+
+
+@pytest.mark.parametrize("measure", ["biharmonic2", "kharmonic2", "betweenness"])
+def test_girvan_newman_scores_a_split_graph(measure):
+    # three triangles joined in a path by two bridges: after the first
+    # bridge goes, the second is found by scoring each component on its own
+    tri = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+    edges = [(u + 3 * b, v + 3 * b, w) for b in range(3) for u, v, w in tri]
+    g = build_graph(9, edges + [(2, 3, 1.0), (5, 6, 1.0)])
+    res = girvan_newman(g, 3, measure=measure, k=2.5)
+    assert res.c == 3
+    assert res.assignment.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "measure, expected",
+    [
+        ("biharmonic2", "000000000000010000200000000000"),
+        ("kharmonic2", "000000000000010000200000000000"),
+        ("betweenness", "000000000011111111112222222222"),
+    ],
+)
+def test_girvan_newman_pinned_on_sbm(measure, expected):
+    g, _ = generators.sbm([10, 10, 10], 0.7, 0.1, 0)
+    res = girvan_newman(g, 3, measure=measure, k=2.5)
+    assert "".join(map(str, res.assignment)) == expected
 
 
 def test_girvan_newman_rejects_unknown_measure(barbell):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphharm import flow, generators, harmonic
+from graphharm import flow, generators, harmonic, io, spectra
 from graphharm.flow import (
     circulation_projector,
     current_flow_centrality,
@@ -81,6 +81,13 @@ def test_squared_flow_matches_closed_form():
     assert np.allclose(brute, closed, atol=1e-9)
 
 
+def test_flow_centralities_sum_st_flows():
+    g = random_weighted(9, 0.5, seed=2)
+    flows = [st_flow(g, s, t).values for s in range(g.n) for t in range(s + 1, g.n)]
+    assert np.allclose(current_flow_centrality(g).values, np.sum(np.abs(flows), axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(squared_flow_centrality(g).values, np.sum(np.square(flows), axis=0) / g.weights, rtol=1e-12, atol=0)
+
+
 def test_path_centralities(p3):
     assert np.allclose(squared_flow_centrality(p3).values, [2.0, 2.0], atol=1e-12)
     assert np.allclose(current_flow_centrality(p3).values, [2.0, 2.0], atol=1e-12)
@@ -115,6 +122,30 @@ def test_spearman_rejects_degenerate():
         spearman(b, EdgeScores(np.array([1.0, 2.0]), "short"))
 
 
+@pytest.mark.parametrize(
+    "g", [generators.complete(9), build_graph(12, [(i, (i + 1) % 12, 1.0) for i in range(12)])]
+)
+def test_spearman_ties_scores_equal_up_to_rounding(g):
+    # every edge of K9 and of C12 has the same resistance and biharmonic
+    # distance; rounding alone must not rank them
+    with pytest.raises(GraphError, match="degenerate"):
+        spearman(edge_measure(g, "biharmonic2"), edge_measure(g, "resistance"))
+
+
+def test_spearman_is_route_independent():
+    # criterion 7's input has edge scores that are equal in exact
+    # arithmetic; the embedding and (L^+)^k routes round them differently
+    pts, _ = io.bundled_points("ring300")
+    g = generators.knn(pts, 25)
+    dec = harmonic.decomposition(g)
+    fast, slow = [], []
+    for k in (1.0, 2.0):
+        M = spectra.pinv_power(dec, k)
+        fast.append(harmonic.edge_kharmonic_sq(g, k, dec))
+        slow.append(EdgeScores(M[g._u, g._u] + M[g._v, g._v] - 2.0 * M[g._u, g._v], "slow"))
+    assert spearman(*fast) == spearman(*slow)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spearman_rejects_non_finite(bad):
     a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]), "a")
@@ -126,13 +157,18 @@ def test_spearman_rejects_non_finite(bad):
 
 
 def _rank_pairs(seed):
-    """Tied and untied score vectors, including all-distinct and two-level ones."""
+    """Tied and untied score vectors, including all-distinct and two-level ones.
+
+    Ties are exact: the shifted vector is rounded again, since a sum such as
+    -1.3 + 1 lands one ulp from -0.3, and `spearman` ties such near-equal
+    scores where scipy ranks them apart.
+    """
     rng = np.random.default_rng(seed)
     for n in (2, 3, 7, 40, 150):
         yield rng.standard_normal(n), rng.standard_normal(n)
         yield rng.integers(0, 3, n).astype(float), rng.integers(0, 5, n).astype(float)
         x = np.round(rng.standard_normal(n), 1)
-        yield x, x + rng.integers(0, 2, n)
+        yield x, np.round(x + rng.integers(0, 2, n), 1)
 
 
 def test_spearman_matches_scipy_exactly():

@@ -43,6 +43,13 @@ def test_sbm_labels_and_block_structure():
     assert within > g.m / 2
 
 
+@pytest.mark.parametrize("p_in, p_out", [(1.5, 0.1), (-0.2, 0.1), (float("nan"), 0.1), (0.5, 2.0), (0.5, float("nan"))])
+def test_sbm_rejects_bad_probabilities(p_in, p_out):
+    with pytest.raises(GraphError, match=r"must be in \[0,1\]") as info:
+        generators.sbm([5, 5], p_in, p_out, seed=0)
+    assert not isinstance(info.value, GenerationError)
+
+
 def test_knn_graph_is_symmetric_union():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(25, 2))

@@ -8,6 +8,7 @@ from graphharm.graph import (
     GraphError,
     build_graph,
     bridges,
+    component_subgraphs,
     connected_components,
     cut_from_side,
     is_connected,
@@ -75,6 +76,24 @@ def test_connected_components_returns_fresh_sets():
     comps.append({99})
     assert connected_components(g) == [{0, 1}, {2, 3, 4}]
     assert not is_connected(g)
+
+
+def test_component_subgraphs_relabel_in_order():
+    # components {0, 2, 5, 7} and {1, 4, 6} with interleaved edges, and an
+    # isolated vertex 3
+    edges = [(5, 0, 1.0), (6, 1, 2.0), (2, 7, 3.0), (4, 1, 0.5), (0, 2, 1.5), (7, 5, 1.0)]
+    g = build_graph(8, edges)
+    parts = component_subgraphs(g)
+    assert [sub.n for sub, _ in parts] == [4, 3, 1]
+    assert [ids.tolist() for _, ids in parts] == [[0, 2, 4, 5], [1, 3], []]
+    assert parts[0][0].edges == ((2, 0, 1.0), (1, 3, 3.0), (0, 1, 1.5), (3, 2, 1.0))
+    assert parts[1][0].edges == ((2, 0, 2.0), (1, 0, 0.5))
+    assert parts[2][0].edges == ()
+    for sub, _ in parts:
+        # the memo is preset, and equals what a fresh search finds
+        assert sub._components == (frozenset(range(sub.n)),)
+        assert connected_components(build_graph(sub.n, sub.edges)) == [set(range(sub.n))]
+    assert [sub.n for sub, _ in component_subgraphs(generators.path(4))] == [4]
 
 
 def test_with_weight_and_without_edge(p3):

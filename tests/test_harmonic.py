@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphharm import flow, generators, harmonic, spectra
+from graphharm import cluster, flow, generators, harmonic, spectra
 from graphharm.graph import GraphError
 from graphharm.harmonic import (
     EdgeScores,
@@ -176,15 +176,36 @@ def test_reads_build_no_full_matrix(monkeypatch):
         raise AssertionError("full (L^+)^k built on a read path")
 
     monkeypatch.setattr(spectra, "pinv_power", refuse)
-    monkeypatch.setattr(spectra, "low_rank_power", refuse)
     g = random_weighted(14, 0.4, seed=7)
     effective_resistance(g, 0, 5)
     biharmonic_distance(g, 0, 5)
     harmonic.kharmonic_distance(g, 2.5, 0, 5)
     edge_kharmonic_sq(g, 1.5)
     biharmonic_edge_sq(g)
-    harmonic.kharmonic_component_edge_sq(g.without_edge(0), 2.0)
-    for measure in ("resistance", "biharmonic2"):
+    for measure in ("resistance", "biharmonic2", "current-flow"):
         flow.edge_measure(g, measure)
     flow.st_potential(g, 0, 5)
     flow.st_flow(g, 0, 5)
+    flow.generalized_flow_matrix(g, 2.5)
+    flow.squared_flow_centrality(g)
+    flow.current_flow_centrality(g)
+    for measure in ("biharmonic2", "kharmonic2"):
+        cluster.girvan_newman(g, 3, measure, k=2.5)
+
+
+def test_decomposition_of_another_graph_is_rejected():
+    g = generators.star(5)
+    for other in (generators.path(8), generators.path(3)):
+        dec = harmonic.decomposition(other)
+        calls = (
+            lambda: effective_resistance(g, 1, 2, dec),
+            lambda: total_resistance(g, dec),
+            lambda: edge_kharmonic_sq(g, 2.0, dec),
+            lambda: kharmonic_sq_matrix(g, 1.0, dec),
+            lambda: flow.st_potential(g, 1, 2, dec),
+            lambda: flow.generalized_flow_matrix(g, 1.0, dec),
+            lambda: cluster.kharmonic_kmeans(g, 2, 2.0, 0, dec),
+        )
+        for call in calls:
+            with pytest.raises(GraphError, match="decomposition is of a graph on"):
+                call()
