@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _comma_list(cast):
+    """argparse type for a comma list; a bad item is a usage error."""
+
+    def parse(text: str) -> list:
+        return [cast(x) for x in text.split(",")]
+
+    parse.__name__ = f"comma list of {cast.__name__}"  # argparse names the type in its message
+    return parse
+
+
 def _digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -49,7 +59,7 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func",) and not k.startswith("_")
+        if k not in ("func", "output") and not k.startswith("_")
     }
     meta = {
         "subcommand": subcommand,
@@ -217,9 +227,7 @@ def cmd_cluster(args):
         _, labels = io.load_points_csv(args.labels)
         if labels is None:
             raise UsageError(f"{args.labels}: no 'label' column in header")
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    )
+    seeds = args.seeds or [args.seed]
     if args.k_grid:
         _cluster_k_sweep(g, args, labels, seeds)
         return
@@ -251,9 +259,8 @@ def _cluster_k_sweep(g, args, labels, seeds):
     """--k-grid: purity-vs-k table, written to --plot as CSV."""
     if labels is None:
         raise UsageError("--k-grid requires --labels to evaluate purity")
-    ks = [float(x) for x in args.k_grid.split(",")]
     rows = []
-    for k in ks:
+    for k in args.k_grid:
         sub = argparse.Namespace(**{**vars(args), "k": k})
         purities = [cluster.purity(_run_cluster_once(g, sub, s), labels) for s in seeds]
         mean = float(np.mean(purities))
@@ -273,33 +280,13 @@ def _cluster_k_sweep(g, args, labels, seeds):
 
 
 def cmd_generate(args):
-    params: dict = {}
-    if args.model in ("complete", "path", "star"):
-        if args.n is None:
-            raise UsageError(f"--model {args.model} requires --n")
-        params["n"] = args.n
-    elif args.model == "balanced_tree":
-        if args.branching is None or args.depth is None:
-            raise UsageError("--model balanced_tree requires --branching and --depth")
-        params.update(branching=args.branching, depth=args.depth)
-    elif args.model == "erdos_renyi":
-        if args.n is None or args.p is None:
-            raise UsageError("--model erdos_renyi requires --n and --p")
-        params.update(n=args.n, p=args.p)
-    elif args.model == "sbm":
-        if not args.sizes or args.p_in is None or args.p_out is None:
-            raise UsageError("--model sbm requires --sizes, --p-in, --p-out")
-        params.update(
-            sizes=[int(s) for s in args.sizes.split(",")], p_in=args.p_in, p_out=args.p_out
-        )
-    elif args.model == "knn":
-        if not args.points or args.knn is None:
-            raise UsageError("--model knn requires --points and --knn")
-        pts, _ = io.load_points_csv(args.points)
-        params.update(points=pts, k=args.knn)
-    else:
-        raise UsageError(f"unknown model {args.model!r}")
-
+    points = None
+    if args.model == "knn" and args.points:
+        points, _ = io.load_points_csv(args.points)
+    params = {
+        "n": args.n, "p": args.p, "sizes": args.sizes, "p_in": args.p_in, "p_out": args.p_out,
+        "branching": args.branching, "depth": args.depth, "points": points, "k": args.knn,
+    }
     result = generators.generate(args.model, params, args.seed)
     labels = None
     if args.model == "sbm":
@@ -391,28 +378,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="comma list of seeds; emits mean purity and 95%% CI")
+    p.add_argument("--seeds", type=_comma_list(int), help="comma list of seeds; emits mean purity and 95%% CI")
     p.add_argument("--labels", help="CSV with a label column for purity")
-    p.add_argument("--k-grid", dest="k_grid", help="comma list of k values to sweep")
+    p.add_argument("--k-grid", dest="k_grid", type=_comma_list(float), help="comma list of k values to sweep")
     p.add_argument("--plot", help="write purity-vs-k CSV here (with --k-grid)")
     common_output(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("generate", help="write a generated graph to an edge-list file")
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=("complete", "path", "star", "balanced_tree", "erdos_renyi", "sbm", "knn"),
-    )
+    p.add_argument("--model", required=True, choices=tuple(generators.MODELS))
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
-    p.add_argument("--sizes")
+    p.add_argument("--sizes", type=_comma_list(int), help="comma list of block sizes for sbm")
     p.add_argument("--p-in", dest="p_in", type=float)
     p.add_argument("--p-out", dest="p_out", type=float)
     p.add_argument("--branching", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--points", help="points CSV for the knn model")
-    p.add_argument("--knn", type=int)
+    p.add_argument("--knn", type=int, help="neighbor count k for the knn model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="edge-list output path")
     p.add_argument("--labels-out", dest="labels_out")

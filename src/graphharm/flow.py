@@ -3,8 +3,9 @@
 An st-potential is p_st = L^+(1_s - 1_t) = Y (Y_s - Y_t) in the
 resistance embedding Y (`spectra.embedding` at k=1); the matching flow is
 f_st = W boundary^T p_st, signed relative to each edge's stored
-orientation.  The all-pairs centralities read the flows off one embedding
-and loop over source vertices, so the per-pair cost is O(m).
+orientation.  The all-pairs centralities need no loop over pairs: the
+squared-flow sum is n w_e B_e^2, and the current-flow sum is a sorted
+row of the m x n generalized flow matrix against fixed coefficients.
 """
 
 from __future__ import annotations
@@ -48,35 +49,19 @@ def st_flow(g: Graph, s: int, t: int, dec=None) -> Flow:
     return Flow(s, t, g._w * (p[g._u] - p[g._v]))
 
 
-def circulation_projector(g: Graph) -> np.ndarray:
-    """The m x m orthogonal projector onto ker boundary (the circulations)."""
-    B = g.boundary()
-    return np.eye(g.m) - np.linalg.pinv(B) @ B
-
-
-def min_norm_certificate(
-    g: Graph, f: Flow, trials: int = 20, seed: int = 0, tol: float = 1e-8, projector=None
-) -> bool:
+def min_norm_certificate(g: Graph, f: Flow, tol: float = 1e-8) -> bool:
     """Check f is the minimum-energy flow for its divergence.
 
-    The electrical flow is W^{-1}-orthogonal to every circulation
-    (ker boundary); sample random circulations and test the inner product.
-    `projector`, if given, is `circulation_projector(g)`, computed once by
-    a caller that certifies several flows on g.
+    The electrical flow is the one flow of its divergence that obeys
+    Kirchhoff's voltage law: f/w is a potential difference boundary^T p.
+    The least-squares p leaves a residual that is the component of f/w
+    along the circulations, so its norm is the exact worst case of
+    <c, f/w> over unit circulations c.
     """
-    P = circulation_projector(g) if projector is None else projector
-    rng = np.random.default_rng(seed)
     target = f.values / g.weights
-    scale = max(1.0, float(np.linalg.norm(target)))
-    for _ in range(trials):
-        c = P @ rng.standard_normal(g.m)
-        norm = np.linalg.norm(c)
-        if norm < 1e-12:
-            continue
-        c /= norm
-        if abs(c @ target) > tol * scale:
-            return False
-    return True
+    Bt = g.boundary().T
+    p = np.linalg.lstsq(Bt, target, rcond=None)[0]
+    return bool(np.linalg.norm(Bt @ p - target) <= tol * max(1.0, float(np.linalg.norm(target))))
 
 
 def generalized_flow_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
@@ -95,29 +80,27 @@ def generalized_flow_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
     return F
 
 
-def _pair_sums(F: np.ndarray, term) -> np.ndarray:
-    """Per row of F, the sum over column pairs s < t of term(F[:, s] - F[:, t])."""
-    acc = np.zeros(F.shape[0])
-    for s in range(F.shape[1] - 1):
-        acc += np.sum(term(F[:, s][:, None] - F[:, s + 1:]), axis=1)
-    return acc
-
-
 def squared_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     """Per edge, sum over unordered pairs of f_st(e)^2 / w_e.
 
-    f_st(e)/sqrt(w_e) is G[e, s] - G[e, t] in the k=1 generalized flow
-    matrix G; this brute-force sum is the counterpart of the
-    n * w_e * B_e^2 identity, kept as an independent route.
+    That sum is n * w_e * B_e^2, read off the biharmonic edge scores in
+    O(m n); `validate` checks it against the pair sum itself.
     """
-    return EdgeScores(_pair_sums(generalized_flow_matrix(g, 1.0, dec), np.square), "sum f_st(e)^2/w_e")
+    b_sq = harmonic.biharmonic_edge_sq(g, dec).values
+    return EdgeScores(g.n * g._w * b_sq, "sum f_st(e)^2/w_e")
 
 
 def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
-    """C_e = sum over unordered pairs of |f_st(e)|."""
+    """C_e = sum over unordered pairs of |f_st(e)|.
+
+    Row e of sqrt(w) * the k=1 generalized flow matrix holds a_s with
+    f_st(e) = a_s - a_t; over that row sorted ascending,
+    sum_{s<t} |a_s - a_t| = sum_i a_(i) (2i - n + 1) (0-based i).
+    """
     F = generalized_flow_matrix(g, 1.0, dec)
     F *= np.sqrt(g._w)[:, None]
-    return EdgeScores(_pair_sums(F, np.abs), "C_e")
+    F.sort(axis=1)
+    return EdgeScores(F @ (2.0 * np.arange(g.n) - g.n + 1.0), "C_e")
 
 
 def edge_betweenness(g: Graph) -> EdgeScores:

@@ -50,28 +50,39 @@ def balanced_tree(branching: int, depth: int) -> Graph:
     return build_graph(nxt, edges)
 
 
-def _er_sample(n: int, p: float, rng: np.random.Generator) -> Graph:
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v, 1.0))
-    return build_graph(n, edges)
+def _check_probability(name: str, p: float) -> None:
+    if not (0.0 <= p <= 1.0):
+        raise GraphError(f"{name} must be in [0,1], got {p}")
+
+
+def _connected_blocks(labels: np.ndarray, p_in: float, p_out: float, seed: int, what: str) -> Graph:
+    """Connected sample with each pair {u, v} an edge with probability
+    p_in within a block, p_out across, resampled with sub-seeds until
+    connected.
+
+    Row u draws its n - u - 1 pairs (u, v > u) at once, the same stream
+    as one draw per pair in that order.
+    """
+    n = len(labels)
+    for attempt in range(MAX_CONNECT_ATTEMPTS):
+        rng = np.random.default_rng([seed, attempt])
+        edges = []
+        for u in range(n - 1):
+            p = np.where(labels[u + 1:] == labels[u], p_in, p_out)
+            hits = np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)
+            edges.extend((u, v, 1.0) for v in hits.tolist())
+        g = build_graph(n, edges)
+        if is_connected(g):
+            return g
+    raise GenerationError(f"{what}: no connected sample in {MAX_CONNECT_ATTEMPTS} attempts")
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """Connected G(n, p) sample; resamples until connected."""
-    if not (0.0 <= p <= 1.0):
-        raise GraphError(f"edge probability must be in [0,1], got {p}")
-    for attempt in range(MAX_CONNECT_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        g = _er_sample(n, p, rng)
-        if is_connected(g):
-            return g
-    raise GenerationError(
-        f"erdos_renyi(n={n}, p={p}): no connected sample in "
-        f"{MAX_CONNECT_ATTEMPTS} attempts"
-    )
+    """Connected G(n, p) sample: the one-block stochastic block model."""
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    _check_probability("edge probability", p)
+    return _connected_blocks(np.zeros(n, dtype=np.int64), p, p, seed, f"erdos_renyi(n={n}, p={p})")
 
 
 def sbm(cluster_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.ndarray]:
@@ -83,26 +94,11 @@ def sbm(cluster_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.
     sizes = [int(s) for s in cluster_sizes]
     if not sizes or any(s <= 0 for s in sizes):
         raise GraphError("cluster sizes must be a nonempty list of positive counts")
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not (0.0 <= p <= 1.0):
-            raise GraphError(f"{name} must be in [0,1], got {p}")
-    n = sum(sizes)
+    _check_probability("p_in", p_in)
+    _check_probability("p_out", p_out)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    for attempt in range(MAX_CONNECT_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                p = p_in if labels[u] == labels[v] else p_out
-                if rng.random() < p:
-                    edges.append((u, v, 1.0))
-        g = build_graph(n, edges)
-        if is_connected(g):
-            return g, labels
-    raise GenerationError(
-        f"sbm(sizes={sizes}, p_in={p_in}, p_out={p_out}): no connected "
-        f"sample in {MAX_CONNECT_ATTEMPTS} attempts"
-    )
+    what = f"sbm(sizes={sizes}, p_in={p_in}, p_out={p_out})"
+    return _connected_blocks(labels, p_in, p_out, seed, what), labels
 
 
 def knn(points, k: int) -> Graph:
@@ -128,26 +124,27 @@ def knn(points, k: int) -> Graph:
     return build_graph(n, [(u, v, 1.0) for u, v in sorted(keys)])
 
 
+# model -> (required parameters, maker called with their values and the seed)
+MODELS = {
+    "complete": (("n",), lambda n, _: complete(int(n))),
+    "path": (("n",), lambda n, _: path(int(n))),
+    "star": (("n",), lambda n, _: star(int(n))),
+    "balanced_tree": (("branching", "depth"), lambda b, d, _: balanced_tree(int(b), int(d))),
+    "erdos_renyi": (("n", "p"), lambda n, p, seed: erdos_renyi(int(n), float(p), seed)),
+    "sbm": (("sizes", "p_in", "p_out"), lambda sizes, p_in, p_out, seed: sbm(sizes, float(p_in), float(p_out), seed)),
+    "knn": (("points", "k"), lambda points, k, _: knn(points, int(k))),
+}
+
+
 def generate(model: str, params: dict, seed: int = 0):
-    """Dispatch by model name.
+    """Dispatch by model name; a parameter given as None counts as missing.
 
     Returns a Graph, except for "sbm" which returns (Graph, labels).
     """
-    makers = {
-        "complete": lambda: complete(int(params["n"])),
-        "path": lambda: path(int(params["n"])),
-        "star": lambda: star(int(params["n"])),
-        "balanced_tree": lambda: balanced_tree(
-            int(params["branching"]), int(params["depth"])
-        ),
-        "erdos_renyi": lambda: erdos_renyi(
-            int(params["n"]), float(params["p"]), seed
-        ),
-        "sbm": lambda: sbm(
-            params["sizes"], float(params["p_in"]), float(params["p_out"]), seed
-        ),
-        "knn": lambda: knn(params["points"], int(params["k"])),
-    }
-    if model not in makers:
-        raise GraphError(f"unknown model {model!r}")
-    return makers[model]()
+    if model not in MODELS:
+        raise GraphError(f"unknown model {model!r}; choose from {tuple(MODELS)}")
+    names, make = MODELS[model]
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        raise GraphError(f"model {model} requires {', '.join(missing)}")
+    return make(*(params[name] for name in names), seed)

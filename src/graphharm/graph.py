@@ -108,10 +108,6 @@ class Graph:
             adj[v].append((u, e))
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (min(u, v), max(u, v))
-        return key in _edge_keys(self)
-
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
         if w <= 0:
@@ -130,10 +126,6 @@ class Graph:
         """Copy with extra edges appended; existing indices are preserved."""
         extra = tuple((int(u), int(v), float(w)) for u, v, w in new_edges)
         return build_graph(self.n, self.edges + extra)
-
-
-def _edge_keys(g: Graph) -> set[tuple[int, int]]:
-    return {(min(u, v), max(u, v)) for u, v, _ in g.edges}
 
 
 def build_graph(n: int, edges) -> Graph:

@@ -223,3 +223,35 @@ def test_byte_identical_reruns(graph_file, capsys):
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+
+
+def test_output_name_stays_out_of_the_bytes(graph_file, tmp_path, capsys):
+    path, _ = graph_file
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for dest in (a, b):
+        assert main(["distances", "--graph", path, "--k", "2", "--output", str(dest)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "output" not in json.loads(a.read_text())["meta"]["params"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--model", "sbm", "--sizes", "5,x", "--p-in", "0.5", "--p-out", "0.1"],
+        ["cluster", "--algo", "kmeans", "--clusters", "2", "--seeds", "1,x"],
+        ["cluster", "--algo", "kmeans", "--clusters", "2", "--k-grid", "1,x"],
+    ],
+)
+def test_malformed_comma_list_is_usage_error(graph_file, tmp_path, capsys, argv):
+    path, labels = graph_file
+    where = ["--out", str(tmp_path / "x.txt")] if argv[0] == "generate" else ["--graph", path, "--labels", labels]
+    code = main(argv + where)
+    assert code == 4
+    assert "invalid comma list" in capsys.readouterr().err
+
+
+def test_missing_generate_parameter_is_usage_error(tmp_path, capsys):
+    code = main(["generate", "--model", "erdos_renyi", "--n", "10", "--out", str(tmp_path / "x.txt")])
+    assert code == 4
+    assert "requires p" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from graphharm import flow, generators, harmonic, io, spectra
+from graphharm import flow, generators, harmonic, io, spectra, validate
 from graphharm.flow import (
-    circulation_projector,
     current_flow_centrality,
     edge_betweenness,
     edge_measure,
@@ -66,19 +65,22 @@ def test_min_norm_certificate():
     bumped = flow.Flow(good.source, good.target,
                        good.values + np.array([1.0, 1.0, 1.0, 1.0]))
     assert not min_norm_certificate(cyc, bumped)
-    # a projector computed once serves every flow on its graph
-    P = circulation_projector(cyc)
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.allclose(cyc.boundary() @ P, 0.0, atol=1e-12)
-    assert min_norm_certificate(cyc, good, projector=P)
-    assert not min_norm_certificate(cyc, bumped, projector=P)
+    # exact, not sampled: a bump of 1e-6 along one unit circulation of a
+    # graph with hundreds of independent cycles is caught
+    g = generators.erdos_renyi(40, 0.5, seed=1)
+    f = st_flow(g, 3, 17)
+    assert min_norm_certificate(g, f)
+    circulation = np.linalg.svd(g.boundary())[2][-1]  # a unit vector in ker boundary
+    assert np.allclose(g.boundary() @ circulation, 0.0, atol=1e-12)
+    assert not min_norm_certificate(g, flow.Flow(3, 17, f.values + 1e-6 * circulation))
 
 
 def test_squared_flow_matches_closed_form():
+    # the library reads n w_e B_e^2; the pair sum over the generalized flow
+    # matrix is the identity's other side
     g = random_weighted(12, 0.5, seed=6)
-    brute = squared_flow_centrality(g).values
-    closed = g.n * g.weights * harmonic.biharmonic_edge_sq(g).values
-    assert np.allclose(brute, closed, atol=1e-9)
+    pair_sums = validate._pair_sums(flow.generalized_flow_matrix(g, 1.0), np.square)
+    assert np.allclose(squared_flow_centrality(g).values, pair_sums, rtol=1e-12, atol=0)
 
 
 def test_flow_centralities_sum_st_flows():

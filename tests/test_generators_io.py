@@ -3,7 +3,7 @@ import pytest
 
 from graphharm import generators, io
 from graphharm.generators import GenerationError
-from graphharm.graph import GraphError, is_connected
+from graphharm.graph import GraphError, build_graph, is_connected
 from graphharm.io import ParseError
 
 
@@ -71,6 +71,50 @@ def test_generate_dispatcher():
     assert g.m == 6
     with pytest.raises((GenerationError, GraphError, KeyError)):
         generators.generate("hypercube", {"n": 8})
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [("path", {}), ("erdos_renyi", {"n": 5}), ("sbm", {"sizes": [3, 3], "p_in": 0.5, "p_out": None}),
+     ("knn", {"k": 2})],
+)
+def test_generate_reports_missing_parameters(model, params):
+    with pytest.raises(GraphError, match=f"model {model} requires"):
+        generators.generate(model, params)
+
+
+def _per_pair_sample(labels, p_in, p_out, seed):
+    """The per-pair loop the row sampler replaced: one rng.random() per pair
+    (u, v > u) in order, resampled with sub-seeds until connected."""
+    n = len(labels)
+    for attempt in range(generators.MAX_CONNECT_ATTEMPTS):
+        rng = np.random.default_rng([seed, attempt])
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < (p_in if labels[u] == labels[v] else p_out):
+                    edges.append((u, v, 1.0))
+        g = build_graph(n, edges)
+        if is_connected(g):
+            return g
+    raise AssertionError("no connected reference sample")
+
+
+@pytest.mark.parametrize("n, p, seed", [(12, 0.3, 0), (25, 0.12, 4), (60, 0.1, 3), (300, 0.05, 1)])
+def test_erdos_renyi_pinned_to_per_pair_draws(n, p, seed):
+    expected = _per_pair_sample(np.zeros(n), p, p, seed)
+    assert generators.erdos_renyi(n, p, seed).edges == expected.edges
+
+
+@pytest.mark.parametrize(
+    "sizes, p_in, p_out, seed",
+    [([10, 10, 10], 0.7, 0.1, 1), ([50, 50, 50], 0.3, 0.02, 1), ([5, 7], 0.5, 0.05, 2)],
+)
+def test_sbm_pinned_to_per_pair_draws(sizes, p_in, p_out, seed):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    g, got_labels = generators.sbm(sizes, p_in, p_out, seed)
+    assert g.edges == _per_pair_sample(labels, p_in, p_out, seed).edges
+    assert np.array_equal(got_labels, labels)
 
 
 def test_edge_list_roundtrip(tmp_path):
