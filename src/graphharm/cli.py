@@ -59,7 +59,7 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "output") and not k.startswith("_")
+        if k not in ("func", "output", "labels_out") and not k.startswith("_")
     }
     meta = {
         "subcommand": subcommand,
@@ -293,7 +293,7 @@ def cmd_generate(args):
         g, labels = result
     else:
         g = result
-    io.save_edge_list(g, args.out)
+    io.save_edge_list(g, args.output)
     if args.labels_out:
         if labels is None:
             raise UsageError(f"model {args.model!r} produces no labels")
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="points CSV for the knn model")
     p.add_argument("--knn", type=int, help="neighbor count k for the knn model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="edge-list output path")
+    p.add_argument("--out", required=True, dest="output", help="edge-list output path")
     p.add_argument("--labels-out", dest="labels_out")
     p.set_defaults(func=cmd_generate)
 

@@ -125,9 +125,12 @@ GN_MEASURES = ("biharmonic2", "kharmonic2", "betweenness")
 def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0) -> Clustering:
     """Delete the globally maximal edge until >= c components remain.
 
-    The edge measure is recomputed after every deletion, within each
-    current connected component (`component_subgraphs`).  Ties break
-    toward the lowest edge index, so the algorithm is deterministic.
+    Each edge is scored within its connected component
+    (`component_subgraphs`).  A deletion changes only the component that
+    held the edge, so only that component (or the two it splits into) is
+    scored again; every other component is the same subgraph as before and
+    keeps its scores.  Ties break toward the lowest edge index, so the
+    algorithm is deterministic.
     """
     if c > g.n:
         raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
@@ -136,18 +139,24 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
     if measure == "biharmonic2":
         k = 2.0
     work = g
-    while len(connected_components(work)) < c and work.m > 0:
-        vals = np.empty(work.m)
-        for sub, edge_ids in component_subgraphs(work):
-            if sub.m:
-                vals[edge_ids] = flow.edge_measure(sub, measure, k).values
-        e_max = int(np.lexsort((np.arange(len(vals)), -vals))[0])
-        work = work.without_edge(e_max)
     comps = connected_components(work)
+    stale = component_subgraphs(work, comps)
+    ids = np.arange(g.m)  # index in g of each edge of work
+    scores = np.empty(g.m)  # latest score of each edge of g
+    while len(comps) < c and work.m > 0:
+        for sub, edge_ids in stale:
+            if sub.m:
+                scores[ids[edge_ids]] = flow.edge_measure(sub, measure, k).values
+        vals = scores[ids]
+        e_max = int(np.lexsort((np.arange(len(vals)), -vals))[0])
+        u, v, _ = work.edges[e_max]
+        work = work.without_edge(e_max)
+        ids = np.delete(ids, e_max)
+        comps = connected_components(work)
+        stale = component_subgraphs(work, [comp for comp in comps if u in comp or v in comp])
     assignment = np.empty(g.n, dtype=np.int64)
     for cid, comp in enumerate(comps):
-        for v in comp:
-            assignment[v] = cid
+        assignment[list(comp)] = cid
     return Clustering(
         assignment,
         len(comps),

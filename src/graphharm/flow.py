@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, spectra
-from .graph import Graph, GraphError, require_connected, require_vertex
+from .graph import Graph, GraphError, csr_adjacency, require_connected, require_vertex
 from .harmonic import EdgeScores
 
 
@@ -103,41 +103,69 @@ def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     return EdgeScores(F @ (2.0 * np.arange(g.n) - g.n + 1.0), "C_e")
 
 
+# A block of BFS sources in edge_betweenness spans about this many entries
+# per temporary (block x n vertex states, block x 2m arc reads).
+_SOURCE_BLOCK_ELEMENTS = 2**18
+
+
 def edge_betweenness(g: Graph) -> EdgeScores:
     """Shortest-path edge betweenness on the hop metric.
 
-    Brandes accumulation over all sources; each unordered pair contributes
-    the fraction of shortest st-paths through the edge.
+    Brandes' accumulation, run for a block of sources at once, one BFS
+    level at a time over `csr_adjacency`.  The key of (source row r,
+    vertex x) is r n + x.  Each level expands the arcs leaving its
+    frontier; an arc that reaches an unseen key is a shortest-path DAG
+    arc and passes its tail's path count sigma on.  Going back, DAG arc
+    (x, y) carries sigma(x) (1 + delta(y)) / sigma(y), which is both its
+    edge's share and x's gain in delta.  The work is O(n m) in all, but
+    every BFS level costs one round of numpy steps per block of sources,
+    so on a graph of diameter D the about D n / block rounds dominate: a
+    long path pays in step overhead, not in arithmetic.  Path counts are
+    integers, exact in float64 up to 2**53.  Each unordered pair is
+    counted from both ends.
     """
     require_connected(g)
-    adj = g.neighbors_lists()
-    scores = np.zeros(g.m)
-    for s in range(g.n):
-        # BFS with path counting
-        dist = np.full(g.n, -1)
-        sigma = np.zeros(g.n)
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y, e in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    order.append(y)
-                if dist[y] == dist[x] + 1:
-                    sigma[y] += sigma[x]
-                    preds[y].append((x, e))
-        delta = np.zeros(g.n)
-        for x in reversed(order):
-            for p, e in preds[x]:
-                share = sigma[p] / sigma[x] * (1.0 + delta[x])
-                scores[e] += share
-                delta[p] += share
-    return EdgeScores(scores / 2.0, "betweenness")  # each pair counted from both ends
+    n, m = g.n, g.m
+    if m == 0:
+        return EdgeScores(np.zeros(0), "betweenness")
+    indptr, heads, edge_ids = csr_adjacency(g)
+    deg = np.diff(indptr)
+    hop = heads - np.repeat(np.arange(n), deg)  # key change along each arc
+    scores = np.zeros(m)
+    step = max(1, _SOURCE_BLOCK_ELEMENTS // (n + 2 * m))
+    for lo in range(0, n, step):
+        b = min(lo + step, n) - lo
+        frontier = np.arange(b) * (n + 1) + lo  # the sources' keys
+        sigma = np.zeros(b * n)
+        sigma[frontier] = 1.0
+        mark = np.full(b * n, -1)  # >= 0 once a key is reached
+        mark[frontier] = 0
+        dag = []  # per level: tail keys, head keys, arc indices
+        while True:
+            x = frontier % n
+            cnt = deg[x]
+            ends = np.cumsum(cnt)
+            arc = np.arange(ends[-1]) + np.repeat(indptr[x] - ends + cnt, cnt)
+            tail = np.repeat(frontier, cnt)
+            head = tail + hop[arc]
+            fresh = mark[head] < 0
+            if not fresh.any():
+                break
+            tail, head, arc = tail[fresh], head[fresh], arc[fresh]
+            pos = np.arange(len(head))
+            mark[head] = pos
+            frontier = head[mark[head] == pos]  # each new key once
+            np.add.at(sigma, head, sigma[tail])
+            dag.append((tail, head, arc))
+        delta = np.zeros(b * n)
+        shares = []
+        for tail, head, _ in reversed(dag):
+            share = sigma[tail] / sigma[head] * (1.0 + delta[head])
+            np.add.at(delta, tail, share)
+            shares.append(share)
+        arcs = np.concatenate([arc for _, _, arc in reversed(dag)])
+        scores += np.bincount(edge_ids[arcs], np.concatenate(shares), minlength=m)
+    return EdgeScores(scores / 2.0, "betweenness")
 
 
 def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
@@ -191,19 +219,17 @@ def edge_measure(g: Graph, measure: str, k: float | None = None, dec=None) -> Ed
 
 
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
-    existing = {(min(u, v), max(u, v)) for u, v, _ in g.edges}
-    pool = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in existing
-    ]
-    if not pool:
+    """`count` distinct non-edges (u < v), drawn from the pool of all
+    non-edges in row-major order."""
+    iu, iv = np.triu_indices(g.n, 1)
+    free = g.adjacency()[iu, iv] == 0
+    pool_u, pool_v = iu[free], iv[free]
+    if not len(pool_u):
         raise GraphError("graph is already complete; no edges can be added")
-    if count > len(pool):
-        raise GraphError(f"cannot add {count} edges; only {len(pool)} non-edges exist")
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [(pool[i][0], pool[i][1], 1.0) for i in sorted(idx)]
+    if count > len(pool_u):
+        raise GraphError(f"cannot add {count} edges; only {len(pool_u)} non-edges exist")
+    idx = np.sort(rng.choice(len(pool_u), size=count, replace=False))
+    return [(u, v, 1.0) for u, v in zip(pool_u[idx].tolist(), pool_v[idx].tolist())]
 
 
 def resilience_experiment(

@@ -100,14 +100,6 @@ class Graph:
         """boundary @ W^{1/2}."""
         return self.boundary() * np.sqrt(self._w)
 
-    def neighbors_lists(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge index) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        return adj
-
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
         if w <= 0:
@@ -157,45 +149,52 @@ def connected_components(g: Graph) -> list[set[int]]:
 
 
 def _components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected components by hooking and pointer jumping.
+
+    label[x] points towards x's root, the smallest vertex of its
+    component.  Each round hooks the larger root of every edge whose ends
+    have different roots onto the smaller one, then jumps every pointer
+    to its root; the rounds end when no edge joins two roots.  No loop
+    runs per vertex, edge or BFS level, so a long path costs a few rounds
+    of O(log n) jumps, not one step per level.
+    """
     if g._components is None:
-        adj = g.neighbors_lists()
-        seen = [False] * g.n
-        comps = []
-        for start in range(g.n):
-            if seen[start]:
-                continue
-            comp = {start}
-            seen[start] = True
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y, _ in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        object.__setattr__(g, "_components", tuple(comps))
+        label = np.arange(g.n)
+        while True:
+            lu, lv = label[g._u], label[g._v]
+            joins = lu != lv
+            if not joins.any():
+                break
+            lu, lv = lu[joins], lv[joins]
+            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+            while True:
+                up = label[label]
+                if np.array_equal(up, label):
+                    break
+                label = up
+        _, sizes = np.unique(label, return_counts=True)  # ascending roots: by smallest member
+        groups = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]) if g.n else []
+        object.__setattr__(g, "_components", tuple(frozenset(c.tolist()) for c in groups))
     return g._components
 
 
-def component_subgraphs(g: Graph) -> list[tuple[Graph, np.ndarray]]:
-    """Each connected component as (subgraph, indices in g of its edges).
+def component_subgraphs(g: Graph, comps) -> list[tuple[Graph, np.ndarray]]:
+    """Each listed component of g as (subgraph, indices in g of its edges).
 
-    Components come in `connected_components` order.  A component's
-    vertices are relabelled 0.. in increasing order and its edges keep g's
-    order, so a score computed on the subgraph is the score of g's edge.
-    Each subgraph is known to be connected, so no search runs on it again.
+    comps is `connected_components(g)` or a part of it; the subgraphs come
+    in its order.  A component's vertices are relabelled 0.. in increasing
+    order and its edges keep g's order, so a score computed on the
+    subgraph is the score of g's edge.  Each subgraph is known to be
+    connected, so no search runs on it again.
     """
-    comps = _components(g)
-    comp_of = np.empty(g.n, dtype=np.int64)
+    comp_of = np.full(g.n, len(comps), dtype=np.int64)
     local = np.empty(g.n, dtype=np.int64)
     for c, comp in enumerate(comps):
         verts = sorted(comp)
         comp_of[verts] = c
         local[verts] = np.arange(len(verts))
     edge_comp = comp_of[g._u]
-    counts = np.bincount(edge_comp, minlength=len(comps))
+    counts = np.bincount(edge_comp, minlength=len(comps) + 1)
     groups = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(counts)[:-1])
     out = []
     for comp, ids in zip(comps, groups):
@@ -222,43 +221,61 @@ def require_vertex(g: Graph, v) -> int:
     return int(v)
 
 
+def csr_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, heads, edge ids) of the 2m arcs, grouped by tail.
+
+    One stable argsort of the arcs by tail lists the arcs leaving x at
+    indptr[x]:indptr[x+1], in edge order (arc 2e runs u -> v, arc 2e+1
+    runs v -> u).
+    """
+    tails = np.stack([g._u, g._v], axis=1).ravel()
+    heads = np.stack([g._v, g._u], axis=1).ravel()
+    order = np.argsort(tails, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=g.n))))
+    return indptr, heads[order], order // 2
+
+
 def bridges(g: Graph) -> list[int]:
     """Edge indices whose removal increases the number of components.
 
-    Iterative Tarjan lowlink computation; O(n + m).
+    Iterative Tarjan lowlink walk over `csr_adjacency`; O(n + m).
     """
-    adj = g.neighbors_lists()
+    indptr, heads, edge_ids = csr_adjacency(g)
+    indptr, nbr, eid = indptr.tolist(), heads.tolist(), edge_ids.tolist()
     disc = [-1] * g.n
     low = [0] * g.n
+    in_edge = [-1] * g.n  # DFS tree edge into each vertex
+    nxt = indptr[:-1]  # next arc of each vertex to walk
     out: list[int] = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        # stack entries: (vertex, incoming edge index, iterator position)
-        stack = [(root, -1, iter(adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [root]
         while stack:
-            x, in_edge, it = stack[-1]
-            advanced = False
-            for y, e in it:
-                if e == in_edge:
+            x = stack[-1]
+            p = nxt[x]
+            if p < indptr[x + 1]:
+                nxt[x] = p + 1
+                if eid[p] == in_edge[x]:
                     continue
+                y = nbr[p]
                 if disc[y] == -1:
                     disc[y] = low[y] = timer
                     timer += 1
-                    stack.append((y, e, iter(adj[y])))
-                    advanced = True
-                    break
-                low[x] = min(low[x], disc[y])
-            if not advanced:
+                    in_edge[y] = eid[p]
+                    stack.append(y)
+                else:
+                    low[x] = min(low[x], disc[y])
+            else:
                 stack.pop()
                 if stack:
-                    px = stack[-1][0]
+                    px = stack[-1]
                     low[px] = min(low[px], low[x])
                     if low[x] > disc[px]:
-                        out.append(in_edge)
+                        out.append(in_edge[x])
     return sorted(out)
 
 

@@ -48,6 +48,11 @@ class SpectralDecomposition:
         return self.eigenvectors[:, self.kernel_dim:]
 
 
+# A block read by decompose's sign convention or by embedding_sq_distances
+# holds about this many floats, so its temporaries stay small at any n.
+_BLOCK_ELEMENTS = 2**15
+
+
 def default_zero_tol(n: int, lam_max: float) -> float:
     return n * max(lam_max, 1.0) * np.finfo(np.float64).eps * 64
 
@@ -69,12 +74,15 @@ def decompose(L: np.ndarray, zero_tol: float | None = None) -> SpectralDecomposi
     kernel_dim = int(np.sum(lam < zero_tol))
     lam = lam.copy()
     lam[:kernel_dim] = 0.0
-    # sign convention: largest-magnitude entry positive, ties by lowest index
-    for i in range(X.shape[1]):
-        col = X[:, i]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0:
-            X[:, i] = -col
+    # sign convention: largest-magnitude entry positive, ties by lowest index;
+    # |X| is read in column blocks, so no n x n temporary is formed
+    signs = np.ones(X.shape[1])
+    step = max(1, _BLOCK_ELEMENTS // max(X.shape[0], 1))
+    for lo in range(0, X.shape[1], step):
+        block = X[:, lo:lo + step]
+        top = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]
+        signs[lo:lo + step][top < 0] = -1.0
+    X *= signs
     lam.setflags(write=False)
     X.setflags(write=False)
     return SpectralDecomposition(lam, X, kernel_dim, float(zero_tol))
@@ -134,11 +142,6 @@ def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.
     """
     X, half = _selected(dec, k, r)
     return X * half
-
-
-# A block of rows read by embedding_sq_distances holds about this many
-# floats, so its temporaries stay small at any n.
-_BLOCK_ELEMENTS = 2**15
 
 
 def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t) -> np.ndarray:

@@ -196,6 +196,46 @@ def _check_flow_pair_sums(g: Graph):
     return worst
 
 
+def _betweenness_reference(g: Graph) -> np.ndarray:
+    """Brandes' algorithm one source at a time: the loop oracle for
+    `flow.edge_betweenness`."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e, (u, v, _) in enumerate(g.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    scores = np.zeros(g.m)
+    for s in range(g.n):
+        # BFS with path counting
+        dist = np.full(g.n, -1)
+        sigma = np.zeros(g.n)
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = [s]
+        head = 0
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for y, e in adj[x]:
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    order.append(y)
+                if dist[y] == dist[x] + 1:
+                    sigma[y] += sigma[x]
+                    preds[y].append((x, e))
+        delta = np.zeros(g.n)
+        for x in reversed(order):
+            for p, e in preds[x]:
+                share = sigma[p] / sigma[x] * (1.0 + delta[x])
+                scores[e] += share
+                delta[p] += share
+    return scores / 2.0  # each pair counted from both ends
+
+
+def _check_betweenness(g: Graph):
+    return _rel_all(flow.edge_betweenness(g).values, _betweenness_reference(g))
+
+
 def _bridge_sides(g: Graph, e: int) -> tuple[set, set]:
     comps = connected_components(g.without_edge(e))
     u = g.edges[e][0]
@@ -502,6 +542,7 @@ CHECKS: dict = {
     "potentials": (_check_potentials, 1e-8, FAMILIES, None),
     "flows": (_check_flows, 1e-8, FAMILIES, None),
     "cut_flow": (_check_cut_flow, 1e-8, UNWEIGHTED_FAMILIES, 40),
+    "betweenness": (_check_betweenness, 1e-12, FAMILIES, 20),
     "oracle": (_check_oracle, 1e-6, FAMILIES, 25),
     "spectral_reads": (_check_spectral_reads, 1e-10, FAMILIES, 30),
 }

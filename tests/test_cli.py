@@ -234,6 +234,20 @@ def test_output_name_stays_out_of_the_bytes(graph_file, tmp_path, capsys):
     assert "output" not in json.loads(a.read_text())["meta"]["params"]
 
 
+def test_generate_file_names_stay_out_of_stdout(tmp_path, capsys):
+    outs = []
+    for name in ("a", "b"):
+        code, out = _run(capsys, ["generate", "--model", "sbm", "--sizes", "5,5", "--p-in", "0.9",
+                                  "--p-out", "0.2", "--seed", "3", "--out", str(tmp_path / f"{name}.txt"),
+                                  "--labels-out", str(tmp_path / f"{name}.csv")])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    params = json.loads(outs[0])["meta"]["params"]
+    assert "output" not in params and "labels_out" not in params
+
+
 @pytest.mark.parametrize(
     "argv",
     [

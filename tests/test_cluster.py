@@ -91,16 +91,32 @@ def test_girvan_newman_scores_a_split_graph(measure):
     assert res.assignment.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
+def _pinned(sbm_args, measure, expected, name=None):
+    return pytest.param(sbm_args, measure, expected, id=f"{measure}-{name or expected}")
+
+
+# Assignments recorded with the one-source Brandes loop and with every
+# component re-scored after each deletion, so that any change to
+# Girvan-Newman or its measures shows up here.  The 50 x 3 and 20 x 3 SBMs
+# are the Girvan-Newman inputs of the cluster-sbm benchmark.
 @pytest.mark.parametrize(
-    "measure, expected",
+    "sbm_args, measure, expected",
     [
-        ("biharmonic2", "000000000000010000200000000000"),
-        ("kharmonic2", "000000000000010000200000000000"),
-        ("betweenness", "000000000011111111112222222222"),
+        _pinned(([10] * 3, 0.7, 0.1, 0), "biharmonic2", "000000000000010000200000000000"),
+        _pinned(([10] * 3, 0.7, 0.1, 0), "kharmonic2", "000000000000010000200000000000"),
+        _pinned(([10] * 3, 0.7, 0.1, 0), "betweenness", "000000000011111111112222222222"),
+        _pinned(([10] * 3, 0.7, 0.1, 1), "biharmonic2", "001000200000000000000000000000", "seed1"),
+        _pinned(([10] * 3, 0.7, 0.1, 1), "kharmonic2", "000000100022222222222222222222", "seed1"),
+        _pinned(([10] * 3, 0.7, 0.1, 1), "betweenness", "000000000011111111112222222222", "seed1"),
+        _pinned(([10] * 3, 0.7, 0.1, 2), "biharmonic2", "000000000000001000002222222222", "seed2"),
+        _pinned(([10] * 3, 0.7, 0.1, 2), "kharmonic2", "000000000000001000002222222222", "seed2"),
+        _pinned(([10] * 3, 0.7, 0.1, 2), "betweenness", "000000000011111111112222222222", "seed2"),
+        _pinned(([50] * 3, 0.6, 0.2, 0), "biharmonic2", "0" * 78 + "1" + "0" * 61 + "2" + "0" * 9, "sbm50"),
+        _pinned(([20] * 3, 0.5, 0.05, 0), "betweenness", "0" * 20 + "1" * 20 + "2" * 20, "sbm20"),
     ],
 )
-def test_girvan_newman_pinned_on_sbm(measure, expected):
-    g, _ = generators.sbm([10, 10, 10], 0.7, 0.1, 0)
+def test_girvan_newman_pinned_on_sbm(sbm_args, measure, expected):
+    g, _ = generators.sbm(*sbm_args)
     res = girvan_newman(g, 3, measure=measure, k=2.5)
     assert "".join(map(str, res.assignment)) == expected
 

@@ -107,6 +107,38 @@ def test_betweenness_counts_k4(k4):
     assert np.allclose(edge_betweenness(k4).values, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 7, 2**18])
+@pytest.mark.parametrize("make", [
+    lambda: generators.erdos_renyi(40, 0.15, seed=3),
+    lambda: generators.sbm([12, 12, 12], 0.5, 0.05, seed=1)[0],
+    lambda: validate.sample_graph("tree", 30, seed=2),
+    lambda: generators.path(9),
+    lambda: _grid(5, 7),
+], ids=["er40", "sbm36", "tree30", "path9", "grid5x7"])
+def test_betweenness_matches_brandes_loop(monkeypatch, make, block):
+    # block elements 1 and 7 force one and a few sources per block
+    g = make()
+    monkeypatch.setattr(flow, "_SOURCE_BLOCK_ELEMENTS", block)
+    expect = validate._betweenness_reference(g)
+    assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-12, atol=0)
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1, 1.0) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c, 1.0) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+def test_betweenness_on_a_long_path():
+    # one BFS level per vertex: the level loop must stay cheap in memory and time
+    g = generators.path(400)
+    expect = validate._betweenness_reference(g)
+    assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-12, atol=0)
+    # edge (i, i+1) separates i+1 vertices from the other 399 - i
+    assert np.array_equal(expect, [(i + 1) * (399 - i) for i in range(399)])
+    assert edge_betweenness(build_graph(1, [])).values.shape == (0,)
+
+
 def test_spearman_perfect_and_reversed():
     a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]), "a")
     b = EdgeScores(np.array([10.0, 20.0, 30.0, 40.0]), "b")
@@ -215,6 +247,22 @@ def test_resilience_is_deterministic():
     assert a == b
     assert len(a) == 4
     assert all(-1.0 <= r <= 1.0 for r in a)
+
+
+def _non_edges_by_comprehension(g, count, rng):
+    existing = {(min(u, v), max(u, v)) for u, v, _ in g.edges}
+    pool = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in existing]
+    idx = rng.choice(len(pool), size=count, replace=False)
+    return [(pool[i][0], pool[i][1], 1.0) for i in sorted(idx)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sampled_non_edges_match_the_pair_comprehension(seed):
+    g = generators.erdos_renyi(15 + seed, 0.4, seed)
+    count = 1 + seed % 7
+    drawn = flow._sample_non_edges(g, count, np.random.default_rng([seed, 1]))
+    assert drawn == _non_edges_by_comprehension(g, count, np.random.default_rng([seed, 1]))
+    assert all(type(x) is int for u, v, _ in drawn for x in (u, v))
 
 
 def test_resilience_rejects_complete_graph(k4):

@@ -83,7 +83,7 @@ def test_component_subgraphs_relabel_in_order():
     # isolated vertex 3
     edges = [(5, 0, 1.0), (6, 1, 2.0), (2, 7, 3.0), (4, 1, 0.5), (0, 2, 1.5), (7, 5, 1.0)]
     g = build_graph(8, edges)
-    parts = component_subgraphs(g)
+    parts = component_subgraphs(g, connected_components(g))
     assert [sub.n for sub, _ in parts] == [4, 3, 1]
     assert [ids.tolist() for _, ids in parts] == [[0, 2, 4, 5], [1, 3], []]
     assert parts[0][0].edges == ((2, 0, 1.0), (1, 3, 3.0), (0, 1, 1.5), (3, 2, 1.0))
@@ -93,7 +93,9 @@ def test_component_subgraphs_relabel_in_order():
         # the memo is preset, and equals what a fresh search finds
         assert sub._components == (frozenset(range(sub.n)),)
         assert connected_components(build_graph(sub.n, sub.edges)) == [set(range(sub.n))]
-    assert [sub.n for sub, _ in component_subgraphs(generators.path(4))] == [4]
+    assert [sub.n for sub, _ in component_subgraphs(g, connected_components(g)[1:2])] == [3]
+    p4 = generators.path(4)
+    assert [sub.n for sub, _ in component_subgraphs(p4, connected_components(p4))] == [4]
 
 
 def test_with_weight_and_without_edge(p3):
@@ -123,8 +125,30 @@ def test_cycle_has_no_bridges():
     assert bridges(g) == []
 
 
+def _plain_components(g):
+    adj = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, comps = set(), []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        seen.add(start)
+        while queue:
+            for y in adj[queue.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    queue.append(y)
+        comps.append(comp)
+    return comps
+
+
 def _brute_bridges(g):
-    return [e for e in range(g.m) if not is_connected(g.without_edge(e))]
+    count = len(_plain_components(g))
+    return [e for e in range(g.m) if len(_plain_components(g.without_edge(e))) > count]
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,6 +158,26 @@ def test_bridges_match_removal_oracle(seed, n):
     if g.m > 50:
         return
     assert bridges(g) == _brute_bridges(g)
+
+
+def _random_forest(n, rng):
+    """Each vertex joins an earlier one or starts a new tree (or stays alone)."""
+    return [(int(rng.integers(0, v)), v, 1.0) for v in range(1, n) if rng.random() < 0.7]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_components_and_bridges_match_plain_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    forest = build_graph(n, _random_forest(n, rng))
+    assert bridges(forest) == list(range(forest.m))
+    # a few extra edges close cycles over parts of the forest
+    extra = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(seed % 5, 2)) if a != b}
+    extra -= {(min(u, v), max(u, v)) for u, v, _ in forest.edges}
+    sparse = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n])
+    for g in (forest, forest.with_edges_added([(a, b, 1.0) for a, b in sorted(extra)]), sparse):
+        assert connected_components(g) == _plain_components(g)
+        assert bridges(g) == _brute_bridges(g)
 
 
 def test_cut_from_side(barbell):

@@ -43,15 +43,28 @@ def test_decompose_rejects_asymmetric():
         decompose(M)
 
 
+def _signs_by_column(X):
+    X = X.copy()
+    for i in range(X.shape[1]):
+        col = X[:, i]
+        j = int(np.argmax(np.abs(col)))
+        if col[j] < 0:
+            X[:, i] = -col
+    return X
+
+
 def test_sign_convention_is_deterministic():
-    L = _lap(seed=9)
-    a = decompose(L).eigenvectors
-    b = decompose(L.copy()).eigenvectors
-    assert np.array_equal(a, b)
-    # largest-magnitude entry of each eigenvector is positive
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        assert col[np.argmax(np.abs(col))] > 0
+    for L in (_lap(seed=9), _lap(n=300, p=0.1, seed=4), generators.complete(6).laplacian()):
+        a = decompose(L).eigenvectors
+        b = decompose(L.copy()).eigenvectors
+        assert np.array_equal(a, b)
+        # largest-magnitude entry of each eigenvector is positive
+        for j in range(a.shape[1]):
+            col = a[:, j]
+            assert col[np.argmax(np.abs(col))] > 0
+        # the same bits as flipping column by column, signs of zeros included
+        expect = _signs_by_column(np.linalg.eigh((L + L.T) / 2.0)[1])
+        assert np.array_equal(a, expect) and np.array_equal(np.signbit(a), np.signbit(expect))
 
 
 def test_pinv_power_matches_numpy_pinv():

@@ -29,7 +29,7 @@ def test_sample_graph_is_deterministic():
 
 
 def test_run_suite_small_config_passes():
-    names = ["foster", "potentials", "flows", "sweep_cut", "spectral_reads"]
+    names = ["foster", "potentials", "flows", "sweep_cut", "spectral_reads", "betweenness"]
     reports = run_suite(names, n_range=(8, 16), trials=5, seed=1)
     assert [r.name for r in reports] == names
     assert all(r.passed for r in reports)
