@@ -59,7 +59,7 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "output", "labels_out") and not k.startswith("_")
+        if k not in ("func", "output", "labels_out", "plot") and not k.startswith("_")
     }
     meta = {
         "subcommand": subcommand,

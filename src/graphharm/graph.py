@@ -21,7 +21,7 @@ class DisconnectedGraphError(GraphError):
 
 
 class EdgeError(GraphError):
-    """An invalid edge given to `build_graph`; carries its index."""
+    """An edge that breaks a rule of `Graph`; carries its index."""
 
     def __init__(self, e: int, u: int, v: int, message: str):
         super().__init__(f"edge {e} ({u},{v}): {message}")
@@ -33,7 +33,10 @@ class Graph:
     """Undirected simple graph with positively weighted, ordered edges.
 
     Vertices are the integers 0..n-1.  ``edges[e] = (u, v, w)`` fixes both
-    the index and the orientation of edge e.
+    the index and the orientation of edge e.  Every Graph is checked when
+    built: n < 0 raises `GraphError`; the first edge with an endpoint outside
+    0..n-1, a self-loop, a weight not finite and > 0, or an earlier edge's
+    unordered pair raises `EdgeError`, naming the first rule it breaks.
     """
 
     n: int
@@ -51,9 +54,30 @@ class Graph:
     _decomposition: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = np.array([e[0] for e in self.edges], dtype=np.int64)
-        v = np.array([e[1] for e in self.edges], dtype=np.int64)
-        w = np.array([e[2] for e in self.edges], dtype=np.float64)
+        n, edges = self.n, self.edges
+        if n < 0:
+            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        try:
+            u = np.array([e[0] for e in edges], dtype=np.int64)
+            v = np.array([e[1] for e in edges], dtype=np.int64)
+        except OverflowError:  # an endpoint beyond int64 is out of range: clip it to -1 or n
+            u, v = (np.array([min(max(int(e[i]), -1), n) for e in edges], dtype=np.int64) for i in (0, 1))
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        # one mask per rule, in reporting order; a duplicate repeats an earlier key lo*n + hi
+        # (a key shared via an out-of-range endpoint marks nothing before the first bad edge)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        duplicate = np.zeros(len(key), dtype=bool)
+        duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        rules = np.stack([(lo < 0) | (hi >= n), u == v, ~(np.isfinite(w) & (w > 0)), duplicate])
+        bad = np.flatnonzero(rules.any(axis=0))
+        if bad.size:
+            e = int(bad[0])
+            rule = int(np.argmax(rules[:, e]))
+            message = (f"endpoint out of range 0..{n - 1}", "self-loop",
+                       f"weight must be positive, got {w[e]}", "duplicate edge")[rule]
+            raise EdgeError(e, int(edges[e][0]), int(edges[e][1]), message)
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_v", v)
         object.__setattr__(self, "_w", w)
@@ -65,10 +89,6 @@ class Graph:
     @property
     def weights(self) -> np.ndarray:
         return self._w.copy()
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        u, v, _ = self.edges[e]
-        return u, v
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
@@ -102,8 +122,6 @@ class Graph:
 
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
-        if w <= 0:
-            raise GraphError(f"edge {e}: weight must be positive, got {w}")
         u, v, _ = self.edges[e]
         edges = list(self.edges)
         edges[e] = (u, v, float(w))
@@ -117,30 +135,12 @@ class Graph:
     def with_edges_added(self, new_edges) -> "Graph":
         """Copy with extra edges appended; existing indices are preserved."""
         extra = tuple((int(u), int(v), float(w)) for u, v, w in new_edges)
-        return build_graph(self.n, self.edges + extra)
+        return Graph(self.n, self.edges + extra)
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validate and build a Graph, preserving the given edge order."""
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
-    seen: set[tuple[int, int]] = set()
-    clean = []
-    for e, (u, v, *rest) in enumerate(edges):
-        w = float(rest[0]) if rest else 1.0
-        u, v = int(u), int(v)
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise EdgeError(e, u, v, f"endpoint out of range 0..{n - 1}")
-        if u == v:
-            raise EdgeError(e, u, v, "self-loop")
-        if w <= 0 or not np.isfinite(w):
-            raise EdgeError(e, u, v, f"weight must be positive, got {w}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise EdgeError(e, u, v, "duplicate edge")
-        seen.add(key)
-        clean.append((u, v, w))
-    return Graph(n, tuple(clean))
+    """A Graph from rows (u, v) or (u, v, w), coerced to (int, int, float); w defaults to 1.0."""
+    return Graph(n, tuple((int(u), int(v), float(rest[0]) if rest else 1.0) for u, v, *rest in edges))
 
 
 def connected_components(g: Graph) -> list[set[int]]:

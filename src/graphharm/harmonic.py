@@ -60,13 +60,11 @@ def decomposition(g: Graph) -> spectra.SpectralDecomposition:
 
 
 def _connected_dec(g: Graph, dec=None) -> spectra.SpectralDecomposition:
-    """g's own decomposition, or `dec`, which must be of a graph on g's vertices."""
+    """g's own decomposition; `dec`, if given, must be it (`decomposition(g)`)."""
     require_connected(g)
-    if dec is None:
-        return decomposition(g)
-    if dec.n != g.n:
-        raise GraphError(f"decomposition is of a graph on {dec.n} vertices, not {g.n}")
-    return dec
+    if dec is not None and dec is not g._decomposition:
+        raise GraphError(f"decomposition is of a graph on {dec.n} vertices other than g; pass decomposition(g)")
+    return decomposition(g)
 
 
 def pair_quadratic(M: np.ndarray, s: int, t: int) -> float:
@@ -78,15 +76,16 @@ def _sq_matrix(Y: np.ndarray) -> np.ndarray:
 
     numpy computes Y @ Y.T as a symmetric rank-r update; d_i + d_j - 2 M_ij
     is then evaluated in that order, which keeps the result symmetric too.
+    It overwrites M in row blocks, so no second n x n matrix is formed.
     """
     M = Y @ Y.T
     del Y  # lowers the peak by n*r floats; the caller passes a temporary
     d = M.diagonal().copy()
-    M *= 2.0
-    D2 = d[:, None] + d[None, :]
-    D2 -= M
-    np.fill_diagonal(D2, 0.0)
-    return np.maximum(D2, 0.0, out=D2)
+    step = max(1, spectra._BLOCK_ELEMENTS // len(d))
+    for lo in range(0, len(d), step):
+        np.subtract(d[lo:lo + step, None] + d, 2.0 * M[lo:lo + step], out=M[lo:lo + step])
+    np.fill_diagonal(M, 0.0)
+    return np.maximum(M, 0.0, out=M)
 
 
 def kharmonic_sq_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
@@ -166,8 +165,6 @@ def rtot_derivative_check(g: Graph, e: int, h: float = 1e-4) -> tuple[float, flo
     """
     require_connected(g)
     u, v, w = g.edges[e]
-    if w - h <= 0:
-        raise GraphError(f"step h={h} would make edge {e} weight nonpositive")
     analytic = -g.n * biharmonic_distance(g, u, v) ** 2
     up = total_resistance(g.with_weight(e, w + h))
     down = total_resistance(g.with_weight(e, w - h))

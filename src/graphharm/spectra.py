@@ -48,8 +48,8 @@ class SpectralDecomposition:
         return self.eigenvectors[:, self.kernel_dim:]
 
 
-# A block read by decompose's sign convention or by embedding_sq_distances
-# holds about this many floats, so its temporaries stay small at any n.
+# A block read by decompose's sign convention, embedding_sq_distances or
+# harmonic._sq_matrix holds about this many floats: small temporaries at any n.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -89,14 +89,16 @@ def decompose(L: np.ndarray, zero_tol: float | None = None) -> SpectralDecomposi
 
 
 def power_coefficients(dec: SpectralDecomposition, k: float) -> np.ndarray:
-    """lambda_i^{-k} over the strictly positive eigenvalues, underflow-clamped."""
+    """lambda_i^{-k} over the positive eigenvalues, underflow-clamped; overflow raises."""
     if k < 0:
         raise SpectraError("negative exponents are not supported")
     lam = dec.positive_eigenvalues
     if k == 0:
         return np.ones_like(lam)
-    with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         coeffs = np.exp(-k * np.log(lam))
+    if not np.isfinite(coeffs).all():
+        raise SpectraError(f"lambda^-k overflows at k={k}; smallest positive eigenvalue {lam[0]:.6g}")
     return np.maximum(coeffs, _COEFF_FLOOR)
 
 

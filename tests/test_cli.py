@@ -269,3 +269,31 @@ def test_missing_generate_parameter_is_usage_error(tmp_path, capsys):
     assert code == 4
     assert "requires p" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centrality", "--measure", "biharmonic2"],
+        ["cluster", "--algo", "kmeans", "--clusters", "2", "--k-grid", "1,2"],
+    ],
+)
+def test_plot_name_stays_out_of_the_bytes(graph_file, tmp_path, capsys, argv):
+    path, labels = graph_file
+    extra = ["--labels", labels] if argv[0] == "cluster" else []
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        code, out = _run(capsys, argv + ["--graph", path, *extra, "--plot", str(tmp_path / name)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert "plot" not in json.loads(outs[0])["meta"]["params"]
+
+
+def test_unrepresentable_power_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "path400.txt"
+    io.save_edge_list(generators.path(400), path)
+    code = main(["distances", "--graph", str(path), "--k", "80", "--pairs", "0:399"])
+    assert code == 4
+    assert "overflows at k=80" in capsys.readouterr().err

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from graphharm import generators, harmonic
 from graphharm.graph import (
     DisconnectedGraphError,
+    EdgeError,
+    Graph,
     GraphError,
     build_graph,
     bridges,
@@ -36,6 +38,127 @@ def test_build_rejects_nonpositive_weight():
         build_graph(3, [(0, 1, 0.0)])
     with pytest.raises(GraphError, match="weight"):
         build_graph(3, [(0, 1, -2.0)])
+
+
+def _reference_build(n, edges):
+    """The per-edge loop that checked rows before `Graph` did: the
+    reference for the rules, their order and their messages."""
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    seen: set[tuple[int, int]] = set()
+    clean = []
+    for e, (u, v, *rest) in enumerate(edges):
+        w = float(rest[0]) if rest else 1.0
+        u, v = int(u), int(v)
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise EdgeError(e, u, v, f"endpoint out of range 0..{n - 1}")
+        if u == v:
+            raise EdgeError(e, u, v, "self-loop")
+        if w <= 0 or not np.isfinite(w):
+            raise EdgeError(e, u, v, f"weight must be positive, got {w}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise EdgeError(e, u, v, "duplicate edge")
+        seen.add(key)
+        clean.append((u, v, w))
+    return tuple(clean)
+
+
+def _outcome(build, n, edges):
+    """The edges built, or the error's type, edge index and message."""
+    try:
+        built = build(n, edges)
+    except GraphError as exc:
+        return type(exc), getattr(exc, "edge", None), str(exc)
+    return built if isinstance(built, tuple) else built.edges
+
+
+@pytest.mark.parametrize(
+    "edges, edge, message",
+    [
+        (((0, 1, 1.0), (0, 5, 1.0)), 1, "endpoint out of range 0..2"),
+        (((-1, 1, 1.0),), 0, "endpoint out of range 0..2"),
+        (((0, 1, 1.0), (2, 2, 1.0)), 1, "self-loop"),
+        (((0, 1, float("nan")),), 0, "weight must be positive, got nan"),
+        (((0, 1, float("inf")),), 0, "weight must be positive, got inf"),
+        (((0, 1, 0.0),), 0, "weight must be positive, got 0.0"),
+        (((0, 1, -1.0),), 0, "weight must be positive, got -1.0"),
+        (((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)), 2, "duplicate edge"),
+        (((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)), 1, "duplicate edge"),
+        # the first rule an edge breaks names it
+        (((0, 1, 1.0), (1, 1, -1.0)), 1, "self-loop"),
+        (((0, 3, float("nan")),), 0, "endpoint out of range 0..2"),
+    ],
+)
+def test_constructor_checks_each_rule(edges, edge, message):
+    with pytest.raises(EdgeError, match=f": {message}$") as info:
+        Graph(3, edges)
+    assert info.value.edge == edge
+
+
+def test_constructor_rejects_negative_vertex_count():
+    for build in (Graph, build_graph):
+        with pytest.raises(GraphError, match="vertex count must be nonnegative, got -1"):
+            build(-1, ())
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
+def test_with_weight_is_checked(p3, w):
+    with pytest.raises(EdgeError, match=f"edge 1 \\(1,2\\): weight must be positive, got {w}"):
+        p3.with_weight(1, w)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([(1, 2, 1.0)], "edge 2 \\(1,2\\): duplicate edge"),
+        ([(2, 1, 1.0)], "edge 2 \\(2,1\\): duplicate edge"),
+        ([(0, 2, 1.0), (2, 2, 1.0)], "edge 3 \\(2,2\\): self-loop"),
+        ([(0, 3, 1.0)], "edge 2 \\(0,3\\): endpoint out of range 0..2"),
+    ],
+)
+def test_with_edges_added_is_checked(p3, extra, message):
+    with pytest.raises(EdgeError, match=message):
+        p3.with_edges_added(extra)
+
+
+def _malformed(rng):
+    """A random edge list that mixes out-of-range endpoints, self-loops,
+    bad weights and repeated pairs, in both orientations."""
+    n = -int(rng.integers(1, 3)) if rng.random() < 0.04 else int(rng.integers(2, 16))
+    edges = []
+    for _ in range(int(rng.integers(1, 30))):
+        u, v = (int(x) for x in rng.choice(max(n, 2), size=2, replace=False))
+        w = float(rng.uniform(0.1, 5.0))
+        fault = int(rng.integers(0, 12))
+        if fault == 0:
+            # 2**70 does not fit in int64
+            v = int(rng.choice([-1, n, n + 4, 2**40, 2**70, -(2**70)]))
+        elif fault == 1:
+            v = u
+        elif fault == 2:
+            w = float(rng.choice([0.0, -2.5, np.nan, np.inf, -np.inf]))
+        elif fault == 3 and edges:
+            u, v = edges[int(rng.integers(len(edges)))][:2]
+            u, v = (v, u) if rng.random() < 0.5 else (u, v)
+        edges.append((u, v, w) if rng.random() < 0.9 else (u, v))
+    return n, edges
+
+
+def test_constructor_reports_what_the_reference_loop_reports():
+    reported = []
+    for seed in range(400):
+        n, edges = _malformed(np.random.default_rng(seed))
+        expect = _outcome(_reference_build, n, edges)
+        assert _outcome(build_graph, n, edges) == expect
+        full = tuple((u, v, rest[0] if rest else 1.0) for u, v, *rest in edges)
+        assert _outcome(Graph, n, full) == expect
+        if isinstance(expect[0], type):
+            reported.append(expect[2])
+    # most lists are malformed, and each rule is reported on many of them
+    assert len(reported) >= 300
+    for rule in ("endpoint", "self-loop", "weight", "duplicate", "vertex count"):
+        assert sum(rule in text for text in reported) >= 10, rule
 
 
 def test_laplacian_matches_boundary_factorization():

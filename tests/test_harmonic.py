@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,8 @@ def test_derivative_of_total_resistance():
     analytic, numeric = rtot_derivative_check(g, 3)
     assert analytic == pytest.approx(numeric, abs=1e-6)
     assert analytic < 0  # adding conductance always lowers R_tot
+    with pytest.raises(GraphError, match="weight must be positive"):
+        rtot_derivative_check(g, 3, h=g.edges[3][2])
 
 
 def test_deletion_identity_on_triangle():
@@ -139,16 +143,6 @@ def test_decomposition_is_memoised_per_graph():
         fresh = spectra.decompose(derived.laplacian())
         assert np.array_equal(own.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(own.eigenvectors, fresh.eigenvectors)
-
-
-def test_explicit_dec_is_used_as_given():
-    g = generators.erdos_renyi(12, 0.5, seed=3)
-    heavier = g.with_weight(0, 5.0)
-    other = harmonic.decomposition(heavier)
-    u, v, _ = g.edges[0]
-    assert effective_resistance(g, u, v, other) == effective_resistance(heavier, u, v)
-    assert effective_resistance(g, u, v, other) < effective_resistance(g, u, v)
-    assert np.array_equal(edge_kharmonic_sq(g, 2.0, other).values, edge_kharmonic_sq(heavier, 2.0).values)
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 4.0, 1.0, True, np.float64(1.0), "1", None])
@@ -195,7 +189,8 @@ def test_reads_build_no_full_matrix(monkeypatch):
 
 def test_decomposition_of_another_graph_is_rejected():
     g = generators.star(5)
-    for other in (generators.path(8), generators.path(3)):
+    # other sizes, another graph on the same vertices, and g reweighted
+    for other in (generators.path(8), generators.path(3), generators.path(5), g.with_weight(0, 5.0)):
         dec = harmonic.decomposition(other)
         calls = (
             lambda: effective_resistance(g, 1, 2, dec),
@@ -208,4 +203,20 @@ def test_decomposition_of_another_graph_is_rejected():
         )
         for call in calls:
             with pytest.raises(GraphError, match="decomposition is of a graph on"):
+                call()
+
+
+@pytest.mark.parametrize("k", [80.0, float("nan")])
+def test_unrepresentable_power_raises_without_warning(k):
+    # on path(400), lambda_2 ~ 6e-5, so lambda_2^-80 ~ 1e336 overflows float64
+    g = generators.path(400)
+    calls = (
+        lambda: harmonic.kharmonic_distance(g, k, 0, 399),
+        lambda: edge_kharmonic_sq(g, k),
+        lambda: cluster.kharmonic_kmeans(g, 2, k, 0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(spectra.SpectraError, match="overflows at k="):
                 call()
