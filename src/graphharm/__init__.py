@@ -9,8 +9,9 @@ surface.
 import os as _os
 
 # GRAPHHARM_THREADS caps BLAS parallelism (0 or unset = library default).
-# Must happen before numpy loads its threadpools, so it lives here.
-_threads = _os.environ.get("GRAPHHARM_THREADS", "0")
+# Must happen before numpy loads its threadpools, so it lives here; the CLI
+# records the requested cap in its meta block.
+_threads = _os.environ.get("GRAPHHARM_THREADS", "")
 if _threads not in ("", "0"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, cluster, flow, generators, harmonic, io, validate
+from . import __version__, _threads, cluster, flow, generators, harmonic, io, validate
 from .generators import GenerationError
 from .graph import DisconnectedGraphError, Graph, GraphError
 from .io import ParseError
@@ -55,6 +55,12 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     params = {
         k: v
@@ -66,6 +72,8 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
         "params": params,
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "blas": _blas(),
+        "threads": _threads or "default",
     }
     if getattr(args, "graph", None):
         meta["graph_digest"] = _digest(args.graph)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, harmonic, spectra
-from .graph import Cut, Graph, GraphError, component_subgraphs, connected_components, cut_from_side
+from .graph import Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,31 @@ def spectral_clustering(g: Graph, c: int, seed: int, dec=None) -> Clustering:
 
 
 GN_MEASURES = ("biharmonic2", "kharmonic2", "betweenness")
+_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0) -> Clustering:
     """Delete the globally maximal edge until >= c components remain.
 
-    Each edge is scored within its connected component
-    (`component_subgraphs`).  A deletion changes only the component that
-    held the edge, so only that component (or the two it splits into) is
-    scored again; every other component is the same subgraph as before and
-    keeps its scores.  Ties break toward the lowest edge index, so the
-    algorithm is deterministic.
+    Each edge is scored within its connected component.  One loop runs
+    over g's edge arrays and deletes by an alive mask; it builds no graph
+    per deletion.  A deletion changes only the component that held the
+    edge, so only that component is scored again, and a test on its
+    remaining edges (`component_labels`) decides whether it split:
+
+    - if it did not, and the scores are read off L^+ or (L^+)^2
+      (`flow.pinv_order`), the component's matrices take the rank-one
+      `spectra.pinv_update` in O(n^2) and its scores are read off them
+      in O(m);
+    - otherwise each piece is decomposed and scored afresh.  So is a
+      deletion with 1 - w_e R_e below sqrt(eps), where the update would
+      divide by a near-zero, and every deletion under `betweenness` or a
+      fractional k.
+
+    Ties, within 1e-12 relative (`top_edge`), break toward the lowest
+    edge index, so the algorithm is deterministic.
+    `validate._girvan_newman_reference` is the loop that rebuilds the
+    graph and re-decomposes after every deletion.
     """
     if c > g.n:
         raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
@@ -138,30 +152,75 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
         raise GraphError(f"unknown GN measure {measure!r}; choose from {GN_MEASURES}")
     if measure == "biharmonic2":
         k = 2.0
-    work = g
-    comps = connected_components(work)
-    stale = component_subgraphs(work, comps)
-    ids = np.arange(g.m)  # index in g of each edge of work
-    scores = np.empty(g.m)  # latest score of each edge of g
-    while len(comps) < c and work.m > 0:
-        for sub, edge_ids in stale:
-            if sub.m:
-                scores[ids[edge_ids]] = flow.edge_measure(sub, measure, k).values
-        vals = scores[ids]
-        e_max = int(np.lexsort((np.arange(len(vals)), -vals))[0])
-        u, v, _ = work.edges[e_max]
-        work = work.without_edge(e_max)
-        ids = np.delete(ids, e_max)
-        comps = connected_components(work)
-        stale = component_subgraphs(work, [comp for comp in comps if u in comp or v in comp])
-    assignment = np.empty(g.n, dtype=np.int64)
-    for cid, comp in enumerate(comps):
-        assignment[list(comp)] = cid
+    order = flow.pinv_order(measure, k)
+    u, v, w = g._u, g._v, g._w
+    alive = np.ones(g.m, dtype=bool)
+    label = component_labels(g.n, u, v)  # each vertex's component, named by its smallest member
+    pos = np.empty(g.n, dtype=np.int64)  # each vertex's index within its component
+    scores = np.empty(g.m)  # latest score of each edge
+    pinv = {}  # component label -> its (L^+, (L^+)^2 or None), or None without order
+    roots = np.unique(label)
+    stale = [(np.flatnonzero(label == r), np.flatnonzero(label[u] == r)) for r in roots]
+    count = len(roots)
+    while count < c and alive.any():
+        for verts, ids in stale:  # connected pieces: ascending vertices, edge ids
+            pos[verts] = np.arange(len(verts))
+            if len(ids):
+                pinv[verts[0]] = _score_piece(g, verts, ids, measure, k, order, scores)
+        live = np.flatnonzero(alive)
+        e = live[top_edge(scores[live])]
+        alive[e] = False
+        root = label[u[e]]
+        verts = np.flatnonzero(label == root)
+        ids = np.flatnonzero(alive & (label[u] == root))
+        lu, lv = pos[u[ids]], pos[v[ids]]
+        parts = component_labels(len(verts), lu, lv)
+        if not parts.any() and _delete_edge(pinv[root], pos[u[e]], pos[v[e]], w[e]):
+            scores[ids] = spectra.quadratic_reads(pinv[root][order - 1], lu, lv)
+            stale = []
+        else:
+            pieces = np.unique(parts)
+            stale = [(verts[parts == r], ids[parts[lu] == r]) for r in pieces]
+            label[verts] = verts[parts]
+            count += len(pieces) - 1
+            del pinv[root]
+    assignment = np.unique(label, return_inverse=True)[1]
     return Clustering(
         assignment,
-        len(comps),
+        count,
         {"algorithm": f"girvan_newman[{measure}]", "params": {"k": k, "c": c}, "seed": None},
     )
+
+
+def _score_piece(g, verts, ids, measure, k, order, scores):
+    """Score a connected piece of g afresh; return its (L^+, (L^+)^2 or
+    None) when the scores are read off them (order 1 or 2), else None."""
+    sub = connected_subgraph(g, verts, ids)
+    scores[ids] = flow.edge_measure(sub, measure, k).values
+    return spectra.pinv_powers(harmonic.decomposition(sub), order) if order else None
+
+
+def _delete_edge(pinv, a, b, w) -> bool:
+    """Remove edge (a, b) of weight w from a piece's (L^+, (L^+)^2 or None)
+    in place; False, with nothing changed, without matrices or when
+    1 - w R_e < sqrt(eps), where the update divides by a near-zero."""
+    if pinv is None:
+        return False
+    P, Q = pinv
+    if 1.0 - w * (P[a, a] + P[b, b] - 2.0 * P[a, b]) < _SQRT_EPS:
+        return False
+    spectra.pinv_update(P, Q, [a], [b], [-w])
+    return True
+
+
+def top_edge(scores: np.ndarray) -> int:
+    """Position of the first score within 1e-12 relative of the maximum.
+
+    Scores equal in exact arithmetic (symmetric edges) differ by rounding
+    that depends on the route that computed them, so a tie is taken up
+    to that rounding and goes to the lowest index.
+    """
+    return int(np.argmax(scores >= scores.max() * (1.0 - 1e-12)))
 
 
 def sweep_cut(g: Graph, x) -> Cut:

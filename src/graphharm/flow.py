@@ -218,6 +218,18 @@ def edge_measure(g: Graph, measure: str, k: float | None = None, dec=None) -> Ed
     raise GraphError(f"unknown measure {measure!r}; choose from {MEASURES}")
 
 
+def pinv_order(measure: str, k: float | None = None) -> int | None:
+    """1 or 2 when the measure's edge scores are read off L^+ or (L^+)^2
+    (resistance, biharmonic2, kharmonic2 at k = 1 or 2), else None."""
+    if measure == "resistance":
+        return 1
+    if measure == "biharmonic2":
+        return 2
+    if measure == "kharmonic2" and k in (1, 2):
+        return int(k)
+    return None
+
+
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
     """`count` distinct non-edges (u < v), drawn from the pool of all
     non-edges in row-major order."""
@@ -244,15 +256,24 @@ def resilience_experiment(
 
     Each trial adds `num_added` uniformly random non-edges (derived
     sub-seed), recomputes the measure, and correlates the scores on the
-    ORIGINAL edges only.
+    ORIGINAL edges only.  A measure read off L^+ or (L^+)^2
+    (`pinv_order`) adds to its scores the change that one
+    rank-`num_added` Woodbury update makes (`spectra.pinv_update_reads`),
+    O(n^2 a + m a) from g's eigenvectors; any other measure is recomputed
+    on the perturbed graph.
     """
     require_connected(g)
     original = edge_measure(g, measure, k)
+    order = pinv_order(measure, k)
     out = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         extra = _sample_non_edges(g, num_added, rng)
-        perturbed = edge_measure(g.with_edges_added(extra), measure, k)
-        restricted = EdgeScores(perturbed.values[: g.m], perturbed.meaning)
-        out.append(spearman(original, restricted))
+        if order:
+            s, t, w = (np.array(col) for col in zip(*extra))
+            dec = harmonic.decomposition(g)
+            values = original.values + spectra.pinv_update_reads(dec, order, s, t, w, g._u, g._v)
+        else:
+            values = edge_measure(g.with_edges_added(extra), measure, k).values[: g.m]
+        out.append(spearman(original, EdgeScores(values, original.meaning)))
     return out

@@ -28,15 +28,20 @@ class EdgeError(GraphError):
         self.edge = e
 
 
+# The duplicate-edge key lo * n + hi stays within int64 up to this many vertices.
+MAX_VERTICES = 2**31
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with positively weighted, ordered edges.
 
     Vertices are the integers 0..n-1.  ``edges[e] = (u, v, w)`` fixes both
     the index and the orientation of edge e.  Every Graph is checked when
-    built: n < 0 raises `GraphError`; the first edge with an endpoint outside
-    0..n-1, a self-loop, a weight not finite and > 0, or an earlier edge's
-    unordered pair raises `EdgeError`, naming the first rule it breaks.
+    built: n < 0 or n > `MAX_VERTICES` raises `GraphError`; the first edge
+    with an endpoint outside 0..n-1, a self-loop, a weight not finite and
+    > 0, or an earlier edge's unordered pair raises `EdgeError`, naming the
+    first rule it breaks.
     """
 
     n: int
@@ -57,6 +62,8 @@ class Graph:
         n, edges = self.n, self.edges
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
+        if n > MAX_VERTICES:
+            raise GraphError(f"vertex count {n} exceeds the largest supported, {MAX_VERTICES}")
         try:
             u = np.array([e[0] for e in edges], dtype=np.int64)
             v = np.array([e[1] for e in edges], dtype=np.int64)
@@ -148,30 +155,35 @@ def connected_components(g: Graph) -> list[set[int]]:
     return [set(c) for c in _components(g)]
 
 
-def _components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Connected components by hooking and pointer jumping.
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest member of each vertex's component under the edges (u, v).
 
-    label[x] points towards x's root, the smallest vertex of its
-    component.  Each round hooks the larger root of every edge whose ends
-    have different roots onto the smaller one, then jumps every pointer
-    to its root; the rounds end when no edge joins two roots.  No loop
-    runs per vertex, edge or BFS level, so a long path costs a few rounds
-    of O(log n) jumps, not one step per level.
+    Hooking and pointer jumping: label[x] points towards x's root.  Each
+    round hooks the larger root of every edge whose ends have different
+    roots onto the smaller one, then jumps every pointer to its root; the
+    rounds end when no edge joins two roots.  No loop runs per vertex,
+    edge or BFS level, so a long path costs a few rounds of O(log n)
+    jumps, not one step per level.
     """
-    if g._components is None:
-        label = np.arange(g.n)
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        joins = lu != lv
+        if not joins.any():
+            return label
+        lu, lv = lu[joins], lv[joins]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
-            lu, lv = label[g._u], label[g._v]
-            joins = lu != lv
-            if not joins.any():
+            up = label[label]
+            if np.array_equal(up, label):
                 break
-            lu, lv = lu[joins], lv[joins]
-            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-            while True:
-                up = label[label]
-                if np.array_equal(up, label):
-                    break
-                label = up
+            label = up
+
+
+def _components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected components by `component_labels`, memoised on g."""
+    if g._components is None:
+        label = component_labels(g.n, g._u, g._v)
         _, sizes = np.unique(label, return_counts=True)  # ascending roots: by smallest member
         groups = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]) if g.n else []
         object.__setattr__(g, "_components", tuple(frozenset(c.tolist()) for c in groups))
@@ -182,27 +194,29 @@ def component_subgraphs(g: Graph, comps) -> list[tuple[Graph, np.ndarray]]:
     """Each listed component of g as (subgraph, indices in g of its edges).
 
     comps is `connected_components(g)` or a part of it; the subgraphs come
-    in its order.  A component's vertices are relabelled 0.. in increasing
-    order and its edges keep g's order, so a score computed on the
-    subgraph is the score of g's edge.  Each subgraph is known to be
-    connected, so no search runs on it again.
+    in its order, each built by `connected_subgraph`.
     """
+    verts = [np.array(sorted(comp)) for comp in comps]
     comp_of = np.full(g.n, len(comps), dtype=np.int64)
-    local = np.empty(g.n, dtype=np.int64)
-    for c, comp in enumerate(comps):
-        verts = sorted(comp)
-        comp_of[verts] = c
-        local[verts] = np.arange(len(verts))
+    for c, vs in enumerate(verts):
+        comp_of[vs] = c
     edge_comp = comp_of[g._u]
     counts = np.bincount(edge_comp, minlength=len(comps) + 1)
     groups = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(counts)[:-1])
-    out = []
-    for comp, ids in zip(comps, groups):
-        edges = zip(local[g._u[ids]].tolist(), local[g._v[ids]].tolist(), g._w[ids].tolist())
-        sub = Graph(len(comp), tuple(edges))
-        object.__setattr__(sub, "_components", (frozenset(range(len(comp))),))
-        out.append((sub, ids))
-    return out
+    return [(connected_subgraph(g, vs, ids), ids) for vs, ids in zip(verts, groups)]
+
+
+def connected_subgraph(g: Graph, verts: np.ndarray, ids: np.ndarray) -> Graph:
+    """g's edges `ids` on the ascending vertices `verts`, relabelled 0.. in
+    that order; the edges keep g's order, so a score computed on the
+    subgraph is the score of g's edge.  The caller knows the piece is
+    connected, so it is recorded as one component and no search runs on
+    it again.
+    """
+    lu, lv = np.searchsorted(verts, g._u[ids]), np.searchsorted(verts, g._v[ids])
+    sub = Graph(len(verts), tuple(zip(lu.tolist(), lv.tolist(), g._w[ids].tolist())))
+    object.__setattr__(sub, "_components", (frozenset(range(len(verts))),))
+    return sub
 
 
 def is_connected(g: Graph) -> bool:

@@ -67,10 +67,6 @@ def _connected_dec(g: Graph, dec=None) -> spectra.SpectralDecomposition:
     return decomposition(g)
 
 
-def pair_quadratic(M: np.ndarray, s: int, t: int) -> float:
-    return float(M[s, s] + M[t, t] - 2.0 * M[s, t])
-
-
 def _sq_matrix(Y: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of Y, exactly symmetric.
 

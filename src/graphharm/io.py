@@ -32,6 +32,7 @@ def load_edge_list(path) -> Graph:
     raw: list[tuple[int, int, float]] = []
     linenos: list[int] = []  # source line of each edge in raw
     declared_n = None
+    header_line = None
     first_data_line = True
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -48,6 +49,7 @@ def load_edge_list(path) -> Graph:
                     raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
                 if declared_n < 0:
                     raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
+                header_line = lineno
                 first_data_line = False
                 continue
             first_data_line = False
@@ -66,6 +68,9 @@ def load_edge_list(path) -> Graph:
         return build_graph(declared_n, raw)
     except EdgeError as exc:
         raise ParseError(path, linenos[exc.edge], str(exc)) from exc
+    except GraphError as exc:  # the vertex count: the header's, or one past the largest endpoint
+        line = header_line or linenos[max(range(len(raw)), key=lambda i: max(raw[i][:2]))]
+        raise ParseError(path, line, str(exc)) from exc
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -146,6 +146,71 @@ def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.
     return X * half
 
 
+def pinv_powers(dec: SpectralDecomposition, order: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(P, Q) = (L^+, (L^+)^2) as Y Y^T of `embedding` at k = 1 and 2; Q is
+    None at order 1.  The n x n matrices that `pinv_update` keeps current."""
+    Y = embedding(dec, 1.0)
+    P = Y @ Y.T
+    if order == 1:
+        return P, None
+    Y = embedding(dec, 2.0)
+    return P, Y @ Y.T
+
+
+def _woodbury(U: np.ndarray, V: np.ndarray | None, s, t, w):
+    """(X, W) for L gaining sum_j w_j b_j b_j^T, b_j = 1_{s_j} - 1_{t_j},
+    from U = L^+ B and V = (L^+)^2 B (or None).
+
+    Woodbury with C = (diag(1/w) + B^T U)^{-1} and X = U C gives
+    L'^+ = L^+ - X U^T and, squaring, (L'^+)^2 = (L^+)^2 - V X^T - X W^T
+    with W = V - X (U^T U).  A negative w_j removes weight; 1 + w_j R_j
+    vanishes at a bridge, so the change must keep the kernel: it may
+    neither join two components nor split one.
+    """
+    C = np.linalg.inv(np.diag(1.0 / np.asarray(w, dtype=np.float64)) + U[s] - U[t])
+    X = U @ C
+    return X, None if V is None else V - X @ (U.T @ U)
+
+
+def pinv_update(P: np.ndarray, Q: np.ndarray | None, s, t, w) -> None:
+    """Update (P, Q) = (L^+, (L^+)^2 or None) in place for L gaining
+    sum_j w_j b_j b_j^T (`_woodbury`): O(n^2 a) for a changes, no
+    decomposition, one n x n temporary."""
+    U = P[:, s] - P[:, t]
+    V = None if Q is None else Q[:, s] - Q[:, t]
+    X, W = _woodbury(U, V, s, t, w)
+    P -= X @ U.T
+    if Q is not None:
+        Q -= V @ X.T
+        Q -= X @ W.T
+
+
+def pinv_update_reads(dec: SpectralDecomposition, k: int, s, t, w, u, v) -> np.ndarray:
+    """Change of the squared k-harmonic distances (k = 1 or 2) of the pairs
+    (u, v) when L gains sum_j w_j b_j b_j^T (`_woodbury`).
+
+    L^+ B and (L^+)^2 B are read off the eigenvectors, so no n x n matrix
+    is formed: O(n^2 a + len(u) a) for a changes.
+    """
+    X = dec.positive_eigenvectors
+    XB = (X[s] - X[t]).T
+    U = X @ (power_coefficients(dec, 1.0)[:, None] * XB)
+    V = X @ (power_coefficients(dec, 2.0)[:, None] * XB) if k == 2 else None
+    Xw, W = _woodbury(U, V, s, t, w)
+    dX, dU = Xw[u] - Xw[v], U[u] - U[v]
+    if k == 1:
+        return -np.einsum("ij,ij->i", dX, dU)
+    dV, dW = V[u] - V[v], W[u] - W[v]
+    return -np.einsum("ij,ij->i", dV, dX) - np.einsum("ij,ij->i", dX, dW)
+
+
+def quadratic_reads(M: np.ndarray, s, t) -> np.ndarray:
+    """M_ss + M_tt - 2 M_st for vertices or index arrays s and t: squared
+    distances read off M = (L^+)^k."""
+    d = M.diagonal()
+    return d[s] + d[t] - 2.0 * M[s, t]
+
+
 def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t) -> np.ndarray:
     """||Y_s[i] - Y_t[i]||^2 for index arrays s and t, Y = embedding(dec, k).
 

@@ -13,7 +13,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cluster, flow, generators, harmonic, spectra
-from .graph import Cut, Graph, GraphError, bridges, build_graph, connected_components, cut_from_side, require_connected
+from .graph import (
+    Cut, Graph, GraphError, bridges, build_graph, component_subgraphs, connected_components, cut_from_side,
+    require_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -462,7 +465,7 @@ def _check_oracle(g: Graph):
         M = spectra.pinv_power(dec, float(k))
         for _ in range(4):
             s, t = rng.choice(g.n, size=2, replace=False)
-            spectral = float(np.sqrt(max(harmonic.pair_quadratic(M, int(s), int(t)), 0.0)))
+            spectral = float(np.sqrt(max(spectra.quadratic_reads(M, int(s), int(t)), 0.0)))
             oracle = brute_force_distance(g, k, int(s), int(t))
             a = abs(spectral - oracle)
             worst = max(worst, (a, a / max(1e-30, oracle)))
@@ -509,7 +512,7 @@ def _check_spectral_reads(g: Graph):
         ):
             worst = max(worst, _rel_all(fast, slow) if np.array_equal(fast, fast.T) else (1.0, 1.0))
         for s, t in pairs:
-            slow = np.sqrt(max(harmonic.pair_quadratic(M, s, t), 0.0))
+            slow = np.sqrt(max(spectra.quadratic_reads(M, s, t), 0.0))
             worst = max(worst, _rel(harmonic.kharmonic_distance(g, k, s, t, dec), slow))
         worst = max(worst, _rel_all(harmonic.edge_kharmonic_sq(g, k, dec).values, D2[g._u, g._v]))
         worst = max(worst, _rel_all(flow.generalized_flow_matrix(g, k, dec), g.weighted_boundary().T @ M))
@@ -518,6 +521,75 @@ def _check_spectral_reads(g: Graph):
     for s, t in pairs:
         worst = max(worst, _rel_all(flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
         worst = max(worst, _rel_all(flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))
+    return worst
+
+
+def _girvan_newman_reference(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0) -> np.ndarray:
+    """Girvan-Newman that rebuilds the graph after every deletion and
+    re-scores the component that lost the edge from a fresh
+    decomposition: the oracle for `cluster.girvan_newman`'s assignment."""
+    if measure == "biharmonic2":
+        k = 2.0
+    work = g
+    comps = connected_components(work)
+    stale = component_subgraphs(work, comps)
+    ids = np.arange(g.m)  # index in g of each edge of work
+    scores = np.empty(g.m)  # latest score of each edge of g
+    while len(comps) < c and work.m > 0:
+        for sub, edge_ids in stale:
+            if sub.m:
+                scores[ids[edge_ids]] = flow.edge_measure(sub, measure, k).values
+        e_max = cluster.top_edge(scores[ids])
+        u, v, _ = work.edges[e_max]
+        work = work.without_edge(e_max)
+        ids = np.delete(ids, e_max)
+        comps = connected_components(work)
+        stale = component_subgraphs(work, [comp for comp in comps if u in comp or v in comp])
+    assignment = np.empty(g.n, dtype=np.int64)
+    for cid, comp in enumerate(comps):
+        assignment[list(comp)] = cid
+    return assignment
+
+
+def _resilience_reference(g: Graph, measure: str, num_added: int, trials: int, seed: int, k=None) -> list[float]:
+    """`flow.resilience_experiment` by recomputing the measure on each
+    perturbed graph: the oracle for its low-rank update."""
+    original = flow.edge_measure(g, measure, k)
+    out = []
+    for trial in range(trials):
+        extra = flow._sample_non_edges(g, num_added, np.random.default_rng([seed, trial]))
+        perturbed = flow.edge_measure(g.with_edges_added(extra), measure, k)
+        out.append(flow.spearman(original, harmonic.EdgeScores(perturbed.values[: g.m], perturbed.meaning)))
+    return out
+
+
+def _check_pinv_updates(g: Graph):
+    """L^+ and (L^+)^2 kept by `spectra.pinv_update` against `pinv_power`
+    of a fresh decomposition, after one non-bridge deletion and then a few
+    added non-edges; Girvan-Newman and the resilience correlations against
+    the routes that recompute."""
+    P, Q = spectra.pinv_powers(harmonic.decomposition(g), 2)
+    worst = (0.0, 0.0)
+    bridge_set = set(bridges(g))
+    e = next((e for e in range(g.m) if e not in bridge_set), None)
+    if e is not None:
+        u, v, w = g.edges[e]
+        spectra.pinv_update(P, Q, [u], [v], [-w])
+        g = g.without_edge(e)
+        dec = spectra.decompose(g.laplacian())
+        worst = max(worst, _rel_all(P, spectra.pinv_power(dec, 1.0)), _rel_all(Q, spectra.pinv_power(dec, 2.0)))
+    extra = flow._sample_non_edges(g, 3, np.random.default_rng(g.n))
+    s, t, w = (np.array(col) for col in zip(*extra))
+    spectra.pinv_update(P, Q, s, t, w)
+    g = g.with_edges_added(extra)
+    dec = spectra.decompose(g.laplacian())
+    worst = max(worst, _rel_all(P, spectra.pinv_power(dec, 1.0)), _rel_all(Q, spectra.pinv_power(dec, 2.0)))
+    if not np.array_equal(cluster.girvan_newman(g, 2).assignment, _girvan_newman_reference(g, 2)):
+        worst = max(worst, (1.0, 1.0))
+    measure = ("resistance", "biharmonic2")[g.m % 2]  # the correlations agree to 1e-12
+    rho = flow.resilience_experiment(g, measure, 2, 1, g.m)
+    if _rel_all(rho, _resilience_reference(g, measure, 2, 1, g.m))[1] > 1e-12:
+        worst = max(worst, (1.0, 1.0))
     return worst
 
 
@@ -545,6 +617,7 @@ CHECKS: dict = {
     "betweenness": (_check_betweenness, 1e-12, FAMILIES, 20),
     "oracle": (_check_oracle, 1e-6, FAMILIES, 25),
     "spectral_reads": (_check_spectral_reads, 1e-10, FAMILIES, 30),
+    "pinv_updates": (_check_pinv_updates, 1e-10, FAMILIES, 10),
 }
 
 

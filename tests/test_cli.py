@@ -35,6 +35,9 @@ def test_distances_json(graph_file, capsys):
     payload = json.loads(out)
     assert payload["meta"]["subcommand"] == "distances"
     assert "graph_digest" in payload["meta"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert payload["meta"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert payload["meta"]["threads"] == (os.environ.get("GRAPHHARM_THREADS") or "default")
     rows = payload["rows"]
     assert [(r["s"], r["t"]) for r in rows] == [(0, 5), (1, 2)]
     for r in rows:
@@ -140,6 +143,23 @@ def test_validate_subcommand(capsys):
     assert all(r["passed"] for r in reports)
 
 
+def test_meta_records_the_requested_thread_cap(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(graphharm.__file__).resolve().parent.parent)
+    metas = []
+    for threads in ("1", None):
+        env.pop("GRAPHHARM_THREADS", None)
+        if threads:
+            env["GRAPHHARM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphharm.cli", "generate", "--model", "path", "--n", "4", "--out", "p.txt"],
+            capture_output=True, cwd=tmp_path, env=env, check=True,
+        )
+        metas.append(json.loads(proc.stdout)["meta"])
+    assert [m["threads"] for m in metas] == ["1", "default"]
+    assert metas[0]["blas"] == metas[1]["blas"] and metas[0]["blas"]["name"]
+
+
 # exit codes -----------------------------------------------------------------
 
 
@@ -153,6 +173,15 @@ def test_malformed_graph_is_io_error(tmp_path, capsys):
     path.write_text("0 zebra\n")
     code, _ = _run(capsys, ["distances", "--graph", str(path), "--k", "1"])
     assert code == 2
+
+
+def test_vertex_count_beyond_the_limit_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("n 99999999999999999999\n0 1\n")
+    code = main(["distances", "--graph", str(path), "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:1: vertex count 99999999999999999999 exceeds" in err
 
 
 @pytest.mark.parametrize(

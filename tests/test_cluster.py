@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphharm import cluster, flow, generators
+from graphharm import cluster, flow, generators, spectra, validate
 from graphharm.cluster import (
     girvan_newman,
     kharmonic_kmeans,
@@ -119,6 +119,68 @@ def test_girvan_newman_pinned_on_sbm(sbm_args, measure, expected):
     g, _ = generators.sbm(*sbm_args)
     res = girvan_newman(g, 3, measure=measure, k=2.5)
     assert "".join(map(str, res.assignment)) == expected
+
+
+def _weighted_tree():
+    rng = np.random.default_rng(3)
+    return build_graph(12, [(int(rng.integers(0, v)), v, float(rng.uniform(0.1, 10.0))) for v in range(1, 12)])
+
+
+def _heavy_edge_beside_light_path():
+    # two 5-cliques joined by edge (0, 5) and by the path 1-10-11-6 whose
+    # end edges weigh 2e-9: 1 - w R = 1e-9 on (0, 5).  The light edges
+    # score highest and go first, so (0, 5) is a bridge by its turn.
+    clique = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
+    edges = clique + [(u + 5, v + 5, w) for u, v, w in clique]
+    return build_graph(12, edges + [(0, 5, 1.0), (1, 10, 2e-9), (10, 11, 1.0), (11, 6, 2e-9)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda b: generators.path(8), lambda b: _weighted_tree(), lambda b: b, lambda b: _heavy_edge_beside_light_path()],
+    ids=["path8", "weighted-tree", "barbell", "heavy-edge"],
+)
+@pytest.mark.parametrize("measure, k", [("biharmonic2", 2.0), ("kharmonic2", 1.0), ("kharmonic2", 2.5)])
+def test_girvan_newman_matches_the_rebuilding_loop(barbell, make, measure, k):
+    # every deletion on the path and the tree is a bridge; the barbell and
+    # the heavy edge interleave rank-one updates with fresh decompositions
+    g = make(barbell)
+    for c in range(1, g.n + 1):
+        res = girvan_newman(g, c, measure=measure, k=k)
+        assert res.assignment.tolist() == validate._girvan_newman_reference(g, c, measure, k).tolist()
+        assert res.c == len(set(res.assignment.tolist())) >= c
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_girvan_newman_matches_the_rebuilding_loop_on_sampled_graphs(seed):
+    for family in validate.FAMILIES:
+        g = validate.sample_graph(family, 12 + seed, seed)
+        for c in (2, 3, 5):
+            assert girvan_newman(g, c).assignment.tolist() == validate._girvan_newman_reference(g, c).tolist()
+
+
+def test_girvan_newman_breaks_ties_up_to_rounding_toward_the_lowest_index(barbell):
+    # after the bridge, the six triangle edges tie in exact arithmetic and
+    # (0, 1) goes; then (0, 2) and (1, 2) tie, and (0, 2) goes, whatever
+    # rounding made of the scores
+    res = girvan_newman(barbell, 3)
+    assert res.assignment.tolist() == [0, 1, 1, 2, 2, 2]
+    assert cluster.top_edge(np.array([1.0, 3.0 - 1e-15, 3.0, 2.0])) == 1
+    assert cluster.top_edge(np.array([1.0, 3.0 - 1e-9, 3.0, 2.0])) == 2
+
+
+def test_girvan_newman_decomposes_once_per_split(monkeypatch):
+    # the cluster-sbm biharmonic2 input (78 deletions) sheds two single
+    # vertices: one decomposition of the whole graph, one of the 149-vertex
+    # piece left by the first split; the second split ends the run before
+    # its pieces are scored, and every other deletion is a rank-one update
+    calls = []
+    decompose = spectra.decompose
+    monkeypatch.setattr(spectra, "decompose", lambda L: calls.append(len(L)) or decompose(L))
+    g, _ = generators.sbm([50] * 3, 0.6, 0.2, 0)
+    res = girvan_newman(g, 3, "biharmonic2")
+    assert calls == [150, 149]
+    assert sorted(np.bincount(res.assignment).tolist()) == [1, 1, 148]
 
 
 def test_girvan_newman_rejects_unknown_measure(barbell):

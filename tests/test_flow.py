@@ -265,6 +265,21 @@ def test_sampled_non_edges_match_the_pair_comprehension(seed):
     assert all(type(x) is int for u, v, _ in drawn for x in (u, v))
 
 
+@pytest.mark.parametrize("measure, k", [("resistance", None), ("biharmonic2", None), ("kharmonic2", 1.0), ("kharmonic2", 2.0)])
+def test_resilience_update_matches_the_rebuild_route(measure, k):
+    g, _ = generators.sbm([12, 12], 0.5, 0.1, 3)
+    fast = resilience_experiment(g, measure, num_added=6, trials=4, seed=2, k=k)
+    slow = validate._resilience_reference(g, measure, 6, 4, 2, k)
+    assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+
+
+def test_resilience_rebuilds_for_other_measures(monkeypatch):
+    g, _ = generators.sbm([8, 8], 0.6, 0.2, 1)
+    monkeypatch.setattr(flow.spectra, "pinv_update_reads", None)  # never reached on this route
+    for measure, k in (("kharmonic2", 2.5), ("current-flow", None), ("betweenness", None)):
+        assert resilience_experiment(g, measure, 3, 2, 0, k) == validate._resilience_reference(g, measure, 3, 2, 0, k)
+
+
 def test_resilience_rejects_complete_graph(k4):
     with pytest.raises(GraphError):
         resilience_experiment(k4, "resistance", num_added=1, trials=1, seed=0)

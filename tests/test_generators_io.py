@@ -139,6 +139,15 @@ def test_edge_list_reports_line_number(tmp_path):
         io.load_edge_list(path)
 
 
+@pytest.mark.parametrize("text, line", [("n 99999999999999999999\n0 1\n", 1), ("0 1\n1 99999999999\n2 3\n", 2)])
+def test_edge_list_reports_a_vertex_count_beyond_the_limit(tmp_path, text, line):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f":{line}: vertex count .* exceeds") as info:
+        io.load_edge_list(path)
+    assert info.value.line == line
+
+
 def test_points_csv_roundtrip(tmp_path):
     pts = np.array([[0.5, 1.5], [2.0, -1.0]])
     labels = np.array([0, 1])

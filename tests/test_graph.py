@@ -8,6 +8,7 @@ from graphharm.graph import (
     EdgeError,
     Graph,
     GraphError,
+    MAX_VERTICES,
     build_graph,
     bridges,
     component_subgraphs,
@@ -100,6 +101,14 @@ def test_constructor_rejects_negative_vertex_count():
     for build in (Graph, build_graph):
         with pytest.raises(GraphError, match="vertex count must be nonnegative, got -1"):
             build(-1, ())
+
+
+def test_constructor_rejects_a_vertex_count_beyond_the_key_range():
+    # n beyond MAX_VERTICES would overflow the duplicate key lo * n + hi
+    for n in (10**20, MAX_VERTICES + 1):
+        with pytest.raises(GraphError, match=f"vertex count {n} exceeds"):
+            Graph(n, ())
+    assert Graph(MAX_VERTICES, ((0, MAX_VERTICES - 1, 1.0),)).m == 1
 
 
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])

@@ -8,6 +8,10 @@ from graphharm.spectra import (
     embedding,
     embedding_sq_distances,
     pinv_power,
+    pinv_powers,
+    pinv_update,
+    pinv_update_reads,
+    quadratic_reads,
 )
 
 
@@ -138,3 +142,56 @@ def test_embedding_sq_distances_match_embedding_rows():
         expect = np.sum((Y[s] - Y[t]) ** 2, axis=1)
         assert np.allclose(embedding_sq_distances(dec, k, s, t), expect, rtol=1e-12, atol=0)
     assert embedding_sq_distances(dec, 1.0, [], []).shape == (0,)
+
+
+def _fresh(g):
+    dec = decompose(g.laplacian())
+    return pinv_power(dec, 1.0), pinv_power(dec, 2.0)
+
+
+def test_pinv_powers_are_the_gram_matrices_of_the_embeddings():
+    g = generators.erdos_renyi(12, 0.5, 3)
+    P, Q = pinv_powers(decompose(g.laplacian()), 2)
+    P1, Q1 = _fresh(g)
+    assert np.allclose(P, P1, atol=1e-13) and np.allclose(Q, Q1, atol=1e-13)
+    assert pinv_powers(decompose(g.laplacian()), 1)[1] is None
+
+
+def test_pinv_update_deletes_and_adds_edges():
+    g = generators.erdos_renyi(14, 0.5, 4)
+    P, Q = pinv_powers(decompose(g.laplacian()), 2)
+    u, v, w = g.edges[0]  # not a bridge in this graph
+    pinv_update(P, Q, [u], [v], [-w])
+    g = g.without_edge(0)
+    for a, b in zip((P, Q), _fresh(g)):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    extra = [(0, 5, 2.0), (3, 9, 0.5)]
+    assert all((x, y) not in {(p, q) for p, q, _ in g.edges} for x, y, _ in extra)
+    P1 = P.copy()
+    pinv_update(P1, None, [0, 3], [5, 9], [2.0, 0.5])
+    pinv_update(P, Q, [0, 3], [5, 9], [2.0, 0.5])
+    assert np.array_equal(P1, P)
+    g = g.with_edges_added(extra)
+    for a, b in zip((P, Q), _fresh(g)):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pinv_update_reads_change_the_squared_distances(k):
+    g = generators.erdos_renyi(14, 0.5, 5)
+    dec = decompose(g.laplacian())
+    extra = [(0, 5, 2.0), (3, 9, 0.5), (1, 2, 1.0)]
+    extra = [e for e in extra if (e[0], e[1]) not in {(p, q) for p, q, _ in g.edges}]
+    s, t, w = (np.array(col) for col in zip(*extra))
+    before = embedding_sq_distances(dec, k, g._u, g._v)
+    after = embedding_sq_distances(decompose(g.with_edges_added(extra).laplacian()), k, g._u, g._v)
+    change = pinv_update_reads(dec, k, s, t, w, g._u, g._v)
+    assert np.allclose(before + change, after, rtol=1e-12, atol=1e-14)
+
+
+def test_quadratic_reads_are_squared_distances():
+    g = generators.erdos_renyi(10, 0.5, 1)
+    dec = decompose(g.laplacian())
+    P, Q = pinv_powers(dec, 2)
+    for M, k in ((P, 1.0), (Q, 2.0)):
+        assert np.allclose(quadratic_reads(M, g._u, g._v), embedding_sq_distances(dec, k, g._u, g._v), atol=1e-13)

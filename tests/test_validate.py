@@ -17,7 +17,7 @@ def test_brute_force_matches_spectral_route():
     for k in (1, 2, 3, 5):
         M = spectra.pinv_power(dec, float(k))
         for s, t in [(0, 1), (2, 9), (4, 11)]:
-            spectral = np.sqrt(harmonic.pair_quadratic(M, s, t))
+            spectral = np.sqrt(spectra.quadratic_reads(M, s, t))
             assert brute_force_distance(g, k, s, t) == pytest.approx(spectral, rel=1e-8)
 
 
@@ -29,7 +29,7 @@ def test_sample_graph_is_deterministic():
 
 
 def test_run_suite_small_config_passes():
-    names = ["foster", "potentials", "flows", "sweep_cut", "spectral_reads", "betweenness"]
+    names = ["foster", "potentials", "flows", "sweep_cut", "spectral_reads", "betweenness", "pinv_updates"]
     reports = run_suite(names, n_range=(8, 16), trials=5, seed=1)
     assert [r.name for r in reports] == names
     assert all(r.passed for r in reports)
