@@ -230,12 +230,16 @@ def pinv_order(measure: str, k: float | None = None) -> int | None:
     return None
 
 
-def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
-    """`count` distinct non-edges (u < v), drawn from the pool of all
-    non-edges in row-major order."""
+def _non_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The pool of all non-edges (u < v) of g, in row-major order."""
     iu, iv = np.triu_indices(g.n, 1)
     free = g.adjacency()[iu, iv] == 0
-    pool_u, pool_v = iu[free], iv[free]
+    return iu[free], iv[free]
+
+
+def _sample_non_edges(pool: tuple[np.ndarray, np.ndarray], count: int, rng: np.random.Generator):
+    """`count` distinct non-edges (u, v, 1.0), drawn from `_non_edges(g)`."""
+    pool_u, pool_v = pool
     if not len(pool_u):
         raise GraphError("graph is already complete; no edges can be added")
     if count > len(pool_u):
@@ -265,10 +269,11 @@ def resilience_experiment(
     require_connected(g)
     original = edge_measure(g, measure, k)
     order = pinv_order(measure, k)
+    pool = _non_edges(g)
     out = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        extra = _sample_non_edges(g, num_added, rng)
+        extra = _sample_non_edges(pool, num_added, rng)
         if order:
             s, t, w = (np.array(col) for col in zip(*extra))
             dec = harmonic.decomposition(g)

@@ -51,10 +51,8 @@ class Graph:
     _u: np.ndarray = field(init=False, repr=False, compare=False)
     _v: np.ndarray = field(init=False, repr=False, compare=False)
     _w: np.ndarray = field(init=False, repr=False, compare=False)
-    # connected components, computed on first use
-    _components: tuple[frozenset[int], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # `component_labels` of the edges, computed on first use
+    _labels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # Laplacian eigendecomposition, set by harmonic.decomposition on first use
     _decomposition: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -152,7 +150,10 @@ def build_graph(n: int, edges) -> Graph:
 
 def connected_components(g: Graph) -> list[set[int]]:
     """Partition of vertices by connectivity, ordered by smallest member."""
-    return [set(c) for c in _components(g)]
+    label = _labels(g)
+    _, sizes = np.unique(label, return_counts=True)  # ascending roots: by smallest member
+    groups = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]) if g.n else []
+    return [set(c.tolist()) for c in groups]
 
 
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -180,30 +181,13 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Connected components by `component_labels`, memoised on g."""
-    if g._components is None:
+def _labels(g: Graph) -> np.ndarray:
+    """`component_labels` of g's edges, memoised on g and read-only."""
+    if g._labels is None:
         label = component_labels(g.n, g._u, g._v)
-        _, sizes = np.unique(label, return_counts=True)  # ascending roots: by smallest member
-        groups = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]) if g.n else []
-        object.__setattr__(g, "_components", tuple(frozenset(c.tolist()) for c in groups))
-    return g._components
-
-
-def component_subgraphs(g: Graph, comps) -> list[tuple[Graph, np.ndarray]]:
-    """Each listed component of g as (subgraph, indices in g of its edges).
-
-    comps is `connected_components(g)` or a part of it; the subgraphs come
-    in its order, each built by `connected_subgraph`.
-    """
-    verts = [np.array(sorted(comp)) for comp in comps]
-    comp_of = np.full(g.n, len(comps), dtype=np.int64)
-    for c, vs in enumerate(verts):
-        comp_of[vs] = c
-    edge_comp = comp_of[g._u]
-    counts = np.bincount(edge_comp, minlength=len(comps) + 1)
-    groups = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(counts)[:-1])
-    return [(connected_subgraph(g, vs, ids), ids) for vs, ids in zip(verts, groups)]
+        label.setflags(write=False)
+        object.__setattr__(g, "_labels", label)
+    return g._labels
 
 
 def connected_subgraph(g: Graph, verts: np.ndarray, ids: np.ndarray) -> Graph:
@@ -215,12 +199,14 @@ def connected_subgraph(g: Graph, verts: np.ndarray, ids: np.ndarray) -> Graph:
     """
     lu, lv = np.searchsorted(verts, g._u[ids]), np.searchsorted(verts, g._v[ids])
     sub = Graph(len(verts), tuple(zip(lu.tolist(), lv.tolist(), g._w[ids].tolist())))
-    object.__setattr__(sub, "_components", (frozenset(range(len(verts))),))
+    label = np.zeros(len(verts), dtype=np.int64)
+    label.setflags(write=False)
+    object.__setattr__(sub, "_labels", label)
     return sub
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_components(g)) == 1
+    return not _labels(g).any()
 
 
 def require_connected(g: Graph) -> None:
@@ -312,9 +298,9 @@ def cut_from_side(g: Graph, side) -> Cut:
         raise GraphError("cut side must be a proper nonempty vertex subset")
     if any(v < 0 or v >= g.n for v in S):
         raise GraphError("cut side contains an invalid vertex")
-    crossing = tuple(
-        e for e, (u, v, _) in enumerate(g.edges) if (u in S) != (v in S)
-    )
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(S)] = True
+    crossing = tuple(np.flatnonzero(inside[g._u] != inside[g._v]).tolist())
     k = len(S)
     ratio = g.n * len(crossing) / (k * (g.n - k))
     return Cut(S, crossing, ratio)

@@ -135,15 +135,15 @@ def biharmonic_edge_sq(g: Graph, dec=None) -> EdgeScores:
 def biharmonic_edges_via_down_laplacian(g: Graph) -> EdgeScores:
     """w_e * B_e^2 read off the diagonal of the down-Laplacian pseudoinverse.
 
-    L_down = W^{1/2} boundary^T boundary W^{1/2} is an m x m edge-space
-    operator; this route shares nothing with the vertex-space one beyond
-    the boundary matrix itself.
+    L_down = A^T A with A = boundary W^{1/2} (n x m) is the edge-space
+    operator.  Since (A^T A)^+ = A^+ (A^+)^T, its diagonal is the squared
+    row norms of A^+: one O(n^2 m) SVD of A, and no m x m matrix.  This
+    route shares nothing with the vertex-space one beyond the boundary
+    matrix itself.
     """
     require_connected(g)
-    Bt = g.weighted_boundary()
-    L_down = Bt.T @ Bt
-    diag = np.diag(np.linalg.pinv(L_down, hermitian=True)).copy()
-    return EdgeScores(np.maximum(diag, 0.0), "w_e*B_e^2")
+    A_pinv = np.linalg.pinv(g.weighted_boundary())
+    return EdgeScores(np.einsum("ij,ij->i", A_pinv, A_pinv), "w_e*B_e^2")
 
 
 def total_resistance(g: Graph, dec=None) -> float:

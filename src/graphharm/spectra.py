@@ -53,12 +53,12 @@ class SpectralDecomposition:
 _BLOCK_ELEMENTS = 2**15
 
 
-def default_zero_tol(n: int, lam_max: float) -> float:
-    return n * max(lam_max, 1.0) * np.finfo(np.float64).eps * 64
+def decompose(L: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose a symmetric PSD matrix with kernel detection.
 
-
-def decompose(L: np.ndarray, zero_tol: float | None = None) -> SpectralDecomposition:
-    """Eigendecompose a symmetric PSD matrix with kernel detection."""
+    Eigenvalues below zero_tol = 64 eps n max(lambda_max, 1) are the
+    kernel; one below -zero_tol means L is not PSD.
+    """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise SpectraError(f"expected a square matrix, got shape {L.shape}")
@@ -67,8 +67,7 @@ def decompose(L: np.ndarray, zero_tol: float | None = None) -> SpectralDecomposi
         raise SpectraError("matrix is not symmetric")
     lam, X = np.linalg.eigh((L + L.T) / 2.0)
     lam_max = float(lam[-1]) if lam.size else 0.0
-    if zero_tol is None:
-        zero_tol = default_zero_tol(L.shape[0], lam_max)
+    zero_tol = L.shape[0] * max(lam_max, 1.0) * np.finfo(np.float64).eps * 64
     if lam.size and lam[0] < -zero_tol:
         raise SpectraError(f"matrix is not positive semidefinite (lambda_min={lam[0]})")
     kernel_dim = int(np.sum(lam < zero_tol))

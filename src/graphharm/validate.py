@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cluster, flow, generators, harmonic, spectra
 from .graph import (
-    Cut, Graph, GraphError, bridges, build_graph, component_subgraphs, connected_components, cut_from_side,
+    Cut, Graph, GraphError, bridges, build_graph, component_labels, connected_subgraph, cut_from_side,
     require_connected,
 )
 
@@ -145,11 +145,13 @@ def _check_kharmonic_foster(g: Graph):
 def _check_down_laplacian(g: Graph):
     dec = harmonic.decomposition(g)
     direct = g.weights * harmonic.biharmonic_edge_sq(g, dec).values
-    via_down = harmonic.biharmonic_edges_via_down_laplacian(g).values
-    worst = (0.0, 0.0)
-    for a, b in zip(via_down, direct):
-        worst = max(worst, _rel(a, b))
-    return worst
+    return _rel_all(harmonic.biharmonic_edges_via_down_laplacian(g).values, direct)
+
+
+def _pair_differences(F: np.ndarray) -> np.ndarray:
+    """F[:, s] - F[:, t] for every column pair s < t, one column per pair."""
+    s, t = np.triu_indices(F.shape[1], 1)
+    return F[:, s] - F[:, t]
 
 
 def _pair_sums(F: np.ndarray, term) -> np.ndarray:
@@ -158,10 +160,7 @@ def _pair_sums(F: np.ndarray, term) -> np.ndarray:
     The O(m n^2) oracle for both flow centralities: f_st(e) is
     sqrt(w_e) (G[e, s] - G[e, t]) in the k=1 generalized flow matrix G.
     """
-    acc = np.zeros(F.shape[0])
-    for s in range(F.shape[1] - 1):
-        acc += np.sum(term(F[:, s][:, None] - F[:, s + 1:]), axis=1)
-    return acc
+    return np.sum(term(_pair_differences(F)), axis=1)
 
 
 def _check_flow_identity(g: Graph):
@@ -188,14 +187,11 @@ def _check_flow_edge_sums(g: Graph):
 
 def _check_flow_pair_sums(g: Graph):
     dec = harmonic.decomposition(g)
+    pairs = np.triu_indices(g.n, 1)
     worst = (0.0, 0.0)
     for k in (0.5, 1.0, 2.0):
-        Fk = flow.generalized_flow_matrix(g, k, dec)
-        D2 = harmonic.kharmonic_sq_matrix(g, 2 * k - 1, dec)
-        for s in range(g.n):
-            for t in range(s + 1, g.n):
-                lhs = float(np.sum((Fk[:, s] - Fk[:, t]) ** 2))
-                worst = max(worst, _rel(lhs, float(D2[s, t])))
+        lhs = np.sum(_pair_differences(flow.generalized_flow_matrix(g, k, dec)) ** 2, axis=0)
+        worst = max(worst, _rel_all(lhs, harmonic.kharmonic_sq_matrix(g, 2 * k - 1, dec)[pairs]))
     return worst
 
 
@@ -239,12 +235,11 @@ def _check_betweenness(g: Graph):
     return _rel_all(flow.edge_betweenness(g).values, _betweenness_reference(g))
 
 
-def _bridge_sides(g: Graph, e: int) -> tuple[set, set]:
-    comps = connected_components(g.without_edge(e))
-    u = g.edges[e][0]
-    S = next(c for c in comps if u in c)
-    T = next(c for c in comps if u not in c)
-    return S, T
+def _bridge_sides(g: Graph, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices on u's side and on v's side of the bridge e = (u, v)."""
+    label = component_labels(g.n, np.delete(g._u, e), np.delete(g._v, e))
+    side = label == label[g._u[e]]
+    return np.flatnonzero(side), np.flatnonzero(~side)
 
 
 def _check_cut_edge(g: Graph):
@@ -531,33 +526,33 @@ def _girvan_newman_reference(g: Graph, c: int, measure: str = "biharmonic2", k: 
     if measure == "biharmonic2":
         k = 2.0
     work = g
-    comps = connected_components(work)
-    stale = component_subgraphs(work, comps)
+    label = component_labels(g.n, g._u, g._v)
+    stale = np.unique(label)  # components to score, by their smallest member
     ids = np.arange(g.m)  # index in g of each edge of work
     scores = np.empty(g.m)  # latest score of each edge of g
-    while len(comps) < c and work.m > 0:
-        for sub, edge_ids in stale:
-            if sub.m:
+    while len(np.unique(label)) < c and work.m > 0:
+        for root in stale:
+            edge_ids = np.flatnonzero(label[work._u] == root)
+            if len(edge_ids):
+                sub = connected_subgraph(work, np.flatnonzero(label == root), edge_ids)
                 scores[ids[edge_ids]] = flow.edge_measure(sub, measure, k).values
         e_max = cluster.top_edge(scores[ids])
         u, v, _ = work.edges[e_max]
         work = work.without_edge(e_max)
         ids = np.delete(ids, e_max)
-        comps = connected_components(work)
-        stale = component_subgraphs(work, [comp for comp in comps if u in comp or v in comp])
-    assignment = np.empty(g.n, dtype=np.int64)
-    for cid, comp in enumerate(comps):
-        assignment[list(comp)] = cid
-    return assignment
+        label = component_labels(work.n, work._u, work._v)
+        stale = np.unique(label[[u, v]])
+    return np.unique(label, return_inverse=True)[1]
 
 
 def _resilience_reference(g: Graph, measure: str, num_added: int, trials: int, seed: int, k=None) -> list[float]:
     """`flow.resilience_experiment` by recomputing the measure on each
     perturbed graph: the oracle for its low-rank update."""
     original = flow.edge_measure(g, measure, k)
+    pool = flow._non_edges(g)
     out = []
     for trial in range(trials):
-        extra = flow._sample_non_edges(g, num_added, np.random.default_rng([seed, trial]))
+        extra = flow._sample_non_edges(pool, num_added, np.random.default_rng([seed, trial]))
         perturbed = flow.edge_measure(g.with_edges_added(extra), measure, k)
         out.append(flow.spearman(original, harmonic.EdgeScores(perturbed.values[: g.m], perturbed.meaning)))
     return out
@@ -578,7 +573,7 @@ def _check_pinv_updates(g: Graph):
         g = g.without_edge(e)
         dec = spectra.decompose(g.laplacian())
         worst = max(worst, _rel_all(P, spectra.pinv_power(dec, 1.0)), _rel_all(Q, spectra.pinv_power(dec, 2.0)))
-    extra = flow._sample_non_edges(g, 3, np.random.default_rng(g.n))
+    extra = flow._sample_non_edges(flow._non_edges(g), 3, np.random.default_rng(g.n))
     s, t, w = (np.array(col) for col in zip(*extra))
     spectra.pinv_update(P, Q, s, t, w)
     g = g.with_edges_added(extra)
@@ -598,7 +593,7 @@ CHECKS: dict = {
     "foster": (_check_foster, 1e-8, FAMILIES, None),
     "biharmonic_foster": (_check_biharmonic_foster, 1e-8, FAMILIES, None),
     "kharmonic_foster": (_check_kharmonic_foster, 1e-7, FAMILIES, None),
-    "down_laplacian": (_check_down_laplacian, 1e-8, FAMILIES, 60),  # m x m pinv
+    "down_laplacian": (_check_down_laplacian, 1e-8, FAMILIES, 60),  # pinv of the n x m boundary
     "flow_identity": (_check_flow_identity, 1e-8, FAMILIES, 30),
     "flow_edge_sums": (_check_flow_edge_sums, 1e-7, FAMILIES, 15),
     "flow_pair_sums": (_check_flow_pair_sums, 1e-7, FAMILIES, 15),

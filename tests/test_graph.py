@@ -11,8 +11,9 @@ from graphharm.graph import (
     MAX_VERTICES,
     build_graph,
     bridges,
-    component_subgraphs,
+    component_labels,
     connected_components,
+    connected_subgraph,
     cut_from_side,
     is_connected,
     require_connected,
@@ -210,24 +211,27 @@ def test_connected_components_returns_fresh_sets():
     assert not is_connected(g)
 
 
-def test_component_subgraphs_relabel_in_order():
+def test_connected_subgraph_relabels_in_order():
     # components {0, 2, 5, 7} and {1, 4, 6} with interleaved edges, and an
     # isolated vertex 3
     edges = [(5, 0, 1.0), (6, 1, 2.0), (2, 7, 3.0), (4, 1, 0.5), (0, 2, 1.5), (7, 5, 1.0)]
     g = build_graph(8, edges)
-    parts = component_subgraphs(g, connected_components(g))
-    assert [sub.n for sub, _ in parts] == [4, 3, 1]
-    assert [ids.tolist() for _, ids in parts] == [[0, 2, 4, 5], [1, 3], []]
-    assert parts[0][0].edges == ((2, 0, 1.0), (1, 3, 3.0), (0, 1, 1.5), (3, 2, 1.0))
-    assert parts[1][0].edges == ((2, 0, 2.0), (1, 0, 0.5))
-    assert parts[2][0].edges == ()
-    for sub, _ in parts:
-        # the memo is preset, and equals what a fresh search finds
-        assert sub._components == (frozenset(range(sub.n)),)
+    comps = connected_components(g)
+    label = component_labels(g.n, g._u, g._v)
+    ids = [np.flatnonzero(label[g._u] == min(comp)) for comp in comps]
+    parts = [connected_subgraph(g, np.array(sorted(comp)), x) for comp, x in zip(comps, ids)]
+    assert [sub.n for sub in parts] == [4, 3, 1]
+    assert [x.tolist() for x in ids] == [[0, 2, 4, 5], [1, 3], []]
+    assert parts[0].edges == ((2, 0, 1.0), (1, 3, 3.0), (0, 1, 1.5), (3, 2, 1.0))
+    assert parts[1].edges == ((2, 0, 2.0), (1, 0, 0.5))
+    assert parts[2].edges == ()
+    for sub in parts:
+        # the labels are preset, and equal what a fresh search finds
+        assert sub._labels is not None
+        assert np.array_equal(sub._labels, component_labels(sub.n, sub._u, sub._v))
         assert connected_components(build_graph(sub.n, sub.edges)) == [set(range(sub.n))]
-    assert [sub.n for sub, _ in component_subgraphs(g, connected_components(g)[1:2])] == [3]
     p4 = generators.path(4)
-    assert [sub.n for sub, _ in component_subgraphs(p4, connected_components(p4))] == [4]
+    assert connected_subgraph(p4, np.arange(4), np.arange(3)).edges == p4.edges
 
 
 def test_with_weight_and_without_edge(p3):
@@ -317,6 +321,28 @@ def test_cut_from_side(barbell):
     assert cut.crossing_edges == (3,)
     # ratio = n * crossing / (|S| * |V\S|)
     assert cut.ratio == pytest.approx(6 * 1 / (3 * 3))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cut_from_side_matches_the_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    g = generators.erdos_renyi(int(rng.integers(5, 30)), 0.3, seed)
+    side = rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False).tolist()
+    cut = cut_from_side(g, side)
+    S = set(side)
+    crossing = tuple(e for e, (u, v, _) in enumerate(g.edges) if (u in S) != (v in S))
+    assert cut.side == frozenset(S)
+    assert cut.crossing_edges == crossing
+    assert all(type(e) is int for e in cut.crossing_edges)
+    assert cut.ratio == g.n * len(crossing) / (len(S) * (g.n - len(S)))
+
+
+@pytest.mark.parametrize("side, message", [
+    ([], "proper nonempty"), (range(6), "proper nonempty"), ([0, 6], "invalid vertex"), ([-1], "invalid vertex"),
+])
+def test_cut_from_side_rejects_improper_sides(barbell, side, message):
+    with pytest.raises(GraphError, match=message):
+        cut_from_side(barbell, side)
 
 
 def test_memoised_decomposition_leaves_equality_and_repr_alone():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphharm import cluster, flow, generators, harmonic, spectra
+from graphharm import cluster, flow, generators, harmonic, spectra, validate
 from graphharm.graph import GraphError
 from graphharm.harmonic import (
     EdgeScores,
@@ -58,6 +58,15 @@ def test_down_laplacian_route_agrees():
     direct = g.weights * biharmonic_edge_sq(g).values
     via = biharmonic_edges_via_down_laplacian(g).values
     assert np.allclose(via, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["er_weighted", "tree", "sbm"])
+@pytest.mark.parametrize("seed", range(3))
+def test_down_laplacian_diagonal_matches_the_edge_space_pinv(family, seed):
+    g = validate.sample_graph(family, 12 + 9 * seed, seed)
+    A = g.weighted_boundary()
+    oracle = np.diag(np.linalg.pinv(A.T @ A, hermitian=True))  # the m x m route
+    assert np.allclose(biharmonic_edges_via_down_laplacian(g).values, oracle, rtol=1e-10, atol=0)
 
 
 def test_total_resistance_path(p3):

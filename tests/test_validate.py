@@ -46,3 +46,45 @@ def test_report_serialization_and_table():
     assert d["name"] == "foster" and d["passed"] is True
     table = validate.format_report_table(reports)
     assert "foster" in table and "pass" in table
+
+
+ALL = ("er", "tree", "er_weighted", "tree_weighted", "sbm")
+UNWEIGHTED = ("er", "tree", "sbm")
+
+# name -> (threshold, families, max_n): the certified surface
+CHECK_TABLE = {
+    "foster": (1e-8, ALL, None),
+    "biharmonic_foster": (1e-8, ALL, None),
+    "kharmonic_foster": (1e-7, ALL, None),
+    "down_laplacian": (1e-8, ALL, 60),
+    "flow_identity": (1e-8, ALL, 30),
+    "flow_edge_sums": (1e-7, ALL, 15),
+    "flow_pair_sums": (1e-7, ALL, 15),
+    "cut_edge": (1e-9, ("tree", "sbm", "er"), None),
+    "cut_edge_resistance": (1e-9, ("tree",), None),
+    "sparse_cut": (1e-8, UNWEIGHTED, 40),
+    "sweep_separation": (0.0, UNWEIGHTED, 30),
+    "sweep_cut": (0.0, UNWEIGHTED, 30),
+    "derivative": (1e-5, ("er_weighted", "tree_weighted"), 40),
+    "deletion": (1e-8, ("er",), 20),
+    "bounds": (1e-12, UNWEIGHTED, 60),
+    "tightness": (1e-9, ("er",), 10),
+    "potentials": (1e-8, ALL, None),
+    "flows": (1e-8, ALL, None),
+    "cut_flow": (1e-8, UNWEIGHTED, 40),
+    "betweenness": (1e-12, ALL, 20),
+    "oracle": (1e-6, ALL, 25),
+    "spectral_reads": (1e-10, ALL, 30),
+    "pinv_updates": (1e-10, ALL, 10),
+}
+
+
+def test_check_table_is_pinned():
+    assert {name: entry[1:] for name, entry in validate.CHECKS.items()} == CHECK_TABLE
+
+
+def test_default_run_suite_passes_every_check():
+    # the call `graphharm validate --json` makes at its defaults
+    reports = run_suite()
+    assert [r.name for r in reports] == sorted(CHECK_TABLE)
+    assert [r.name for r in reports if not r.passed] == []
