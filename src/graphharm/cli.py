@@ -82,10 +82,15 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     return meta
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(str(x) for x in row) for row in rows]) + "\n"
+
+
 def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
-    if getattr(args, "out", "json") == "csv" and csv_rows is not None:
-        lines = [csv_header] + [",".join(str(x) for x in row) for row in csv_rows]
-        text = "\n".join(lines) + "\n"
+    if getattr(args, "out", "json") == "csv":
+        if csv_rows is None:
+            raise UsageError(f"{args.subcommand} has no CSV output; use --out json")
+        text = _csv(csv_header, csv_rows)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
@@ -161,11 +166,9 @@ def cmd_centrality(args):
     scores = flow.edge_measure(g, args.measure, args.k)
     payload = _scores_payload(g, scores, args, "centrality")
     if args.plot:
-        ranking = scores.ranking
+        rows = ((pos, int(e), repr(scores.values[e])) for pos, e in enumerate(scores.ranking))
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write("rank,edge_index,score\n")
-            for pos, e in enumerate(ranking):
-                fh.write(f"{pos},{int(e)},{scores.values[e]!r}\n")
+            fh.write(_csv("rank,edge_index,score", rows))
     _emit(
         payload,
         args,
@@ -264,7 +267,8 @@ def cmd_cluster(args):
 
 
 def _cluster_k_sweep(g, args, labels, seeds):
-    """--k-grid: purity-vs-k table, written to --plot as CSV."""
+    """--k-grid: purity-vs-k table, written to --plot as CSV (the same
+    text that --out csv emits)."""
     if labels is None:
         raise UsageError("--k-grid requires --labels to evaluate purity")
     rows = []
@@ -278,13 +282,12 @@ def _cluster_k_sweep(g, args, labels, seeds):
             else 0.0
         )
         rows.append({"k": k, "purity": mean, "ci95": ci})
+    table = [(repr(r["k"]), repr(r["purity"]), repr(r["ci95"])) for r in rows]
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write("k,purity,ci95\n")
-            for r in rows:
-                fh.write(f"{r['k']!r},{r['purity']!r},{r['ci95']!r}\n")
+            fh.write(_csv("k,purity,ci95", table))
     payload = {"meta": _meta(args, "cluster", {"algo": args.algo}), "sweep": rows}
-    _emit(payload, args)
+    _emit(payload, args, csv_rows=table, csv_header="k,purity,ci95")
 
 
 def cmd_generate(args):

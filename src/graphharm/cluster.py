@@ -9,7 +9,7 @@ classical unnormalized spectral clustering embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .graph import Cut, Graph, GraphError, component_labels, connected_subgraph,
 class Clustering:
     assignment: np.ndarray  # vertex -> cluster id in 0..c-1
     c: int
-    provenance: dict = field(compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -29,11 +28,18 @@ class Clustering:
         object.__setattr__(self, "assignment", a)
 
 
-def lloyd_iterations(points, c, seed, max_iters=300):
+MAX_ITERS = 300  # Lloyd iterations before k-means stops without a repeat
+
+
+def lloyd_iterations(points, c, seed):
     """Generator of (assignment, inertia) per Lloyd iteration.
 
-    Centroids start at c distinct points chosen uniformly at random.
-    Empty clusters are reseeded to the point farthest from its centroid.
+    Centroids start at c distinct points chosen uniformly at random.  Each
+    iteration costs two O(n c d) products, the squared distances
+    |x|^2 - 2 x.c + |c|^2 and the centroid sums, and holds n x c arrays.
+    An empty cluster, in ascending id, takes the point farthest from its
+    own centroid among clusters of at least two members (ties to the
+    lowest index), so every cluster keeps a member.
     """
     pts = np.asarray(points, dtype=np.float64)
     n, d = pts.shape
@@ -42,64 +48,55 @@ def lloyd_iterations(points, c, seed, max_iters=300):
     if c < 1 or d == 0:
         raise GraphError("need c >= 1 clusters and at least one coordinate")
     rng = np.random.default_rng(seed)
-    centroids = pts[rng.choice(n, size=c, replace=False)].copy()
+    sq = np.einsum("ij,ij->i", pts, pts)
+    d2 = _sq_distances(pts, sq, pts[rng.choice(n, size=c, replace=False)])
+    rows = np.arange(n)
     prev = None
-    for _ in range(max_iters):
-        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+    for _ in range(MAX_ITERS):
         assign = np.argmin(d2, axis=1)
-        dist_to_own = d2[np.arange(n), assign]
-        for cid in range(c):
-            if not np.any(assign == cid):
-                far = int(np.argmax(dist_to_own))
-                assign[far] = cid
-                dist_to_own[far] = 0.0
-        inertia = 0.0
-        for cid in range(c):
-            members = pts[assign == cid]
-            centroids[cid] = members.mean(axis=0)
-            inertia += float(np.sum((members - centroids[cid]) ** 2))
-        yield assign.copy(), inertia
+        counts = np.bincount(assign, minlength=c)
+        for cid in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[assign] >= 2, d2[rows, assign], -1.0)))
+            counts[assign[far]] -= 1
+            assign[far], counts[cid] = cid, 1
+        members = np.zeros((c, n))
+        members[assign, rows] = 1.0
+        d2 = _sq_distances(pts, sq, (members @ pts) / counts[:, None])
+        yield assign.copy(), float(np.sum(d2[rows, assign]))
         if prev is not None and np.array_equal(assign, prev):
             return
         prev = assign
 
 
-def kmeans(points, c: int, seed: int, max_iters: int = 300):
+def _sq_distances(pts, sq, centroids) -> np.ndarray:
+    """n x c squared distances from one product, clipped at 0 where
+    rounding makes them negative."""
+    d2 = pts @ centroids.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += np.einsum("ij,ij->i", centroids, centroids)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def kmeans(points, c: int, seed: int):
     """Lloyd's algorithm; returns (Clustering, final inertia)."""
     assign, inertia = None, float("inf")
-    for assign, inertia in lloyd_iterations(points, c, seed, max_iters):
+    for assign, inertia in lloyd_iterations(points, c, seed):
         pass
-    clustering = Clustering(
-        assign, c, {"algorithm": "kmeans", "params": {"max_iters": max_iters}, "seed": seed}
-    )
-    return clustering, inertia
+    return Clustering(assign, c), inertia
 
 
 def kharmonic_kmeans(g: Graph, c: int, k: float, seed: int, dec=None) -> Clustering:
     """k-means over the full-rank k-harmonic embedding (k=2: biharmonic)."""
-    dec = harmonic._connected_dec(g, dec)
-    pts = spectra.embedding(dec, k)
-    clustering, _ = kmeans(pts, c, seed)
-    return Clustering(
-        clustering.assignment,
-        c,
-        {"algorithm": "kharmonic_kmeans", "params": {"k": k}, "seed": seed},
-    )
+    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), k), c, seed)[0]
 
 
 def low_rank_kharmonic_kmeans(
     g: Graph, c: int, k: float, r: int | None = None, seed: int = 0, dec=None
 ) -> Clustering:
     """k-means over the rank-r k-harmonic embedding; r defaults to c."""
-    dec = harmonic._connected_dec(g, dec)
     r = c if r is None else r
-    pts = spectra.embedding(dec, k, r)
-    clustering, _ = kmeans(pts, c, seed)
-    return Clustering(
-        clustering.assignment,
-        c,
-        {"algorithm": "low_rank_kharmonic_kmeans", "params": {"k": k, "r": r}, "seed": seed},
-    )
+    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), k, r), c, seed)[0]
 
 
 def spectral_clustering(g: Graph, c: int, seed: int, dec=None) -> Clustering:
@@ -111,12 +108,7 @@ def spectral_clustering(g: Graph, c: int, seed: int, dec=None) -> Clustering:
     """
     if c >= g.n:
         raise GraphError(f"spectral clustering needs c < n, got c={c}, n={g.n}")
-    dec = harmonic._connected_dec(g, dec)
-    pts = spectra.embedding(dec, 0.0, c)
-    clustering, _ = kmeans(pts, c, seed)
-    return Clustering(
-        clustering.assignment, c, {"algorithm": "spectral", "params": {}, "seed": seed}
-    )
+    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), 0.0, c), c, seed)[0]
 
 
 GN_MEASURES = ("biharmonic2", "kharmonic2", "betweenness")
@@ -159,7 +151,7 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
     pos = np.empty(g.n, dtype=np.int64)  # each vertex's index within its component
     scores = np.empty(g.m)  # latest score of each edge
     pinv = {}  # component label -> its (L^+, (L^+)^2 or None), or None without order
-    roots = np.unique(label)
+    roots = np.flatnonzero(label == np.arange(g.n))
     stale = [(np.flatnonzero(label == r), np.flatnonzero(label[u] == r)) for r in roots]
     count = len(roots)
     while count < c and alive.any():
@@ -179,17 +171,12 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
             scores[ids] = spectra.quadratic_reads(pinv[root][order - 1], lu, lv)
             stale = []
         else:
-            pieces = np.unique(parts)
+            pieces = np.flatnonzero(parts == np.arange(len(verts)))
             stale = [(verts[parts == r], ids[parts[lu] == r]) for r in pieces]
             label[verts] = verts[parts]
             count += len(pieces) - 1
             del pinv[root]
-    assignment = np.unique(label, return_inverse=True)[1]
-    return Clustering(
-        assignment,
-        count,
-        {"algorithm": f"girvan_newman[{measure}]", "params": {"k": k, "c": c}, "seed": None},
-    )
+    return Clustering(np.unique(label, return_inverse=True)[1], count)
 
 
 def _score_piece(g, verts, ids, measure, k, order, scores):
@@ -268,8 +255,8 @@ def purity(pred: Clustering, truth) -> float:
         raise GraphError(
             f"assignment length {len(assign)} != label length {len(truth)}"
         )
-    total = 0
-    for cid in np.unique(assign):
-        labels, counts = np.unique(truth[assign == cid], return_counts=True)
-        total += int(counts.max())
-    return total / len(truth)
+    clusters, a = np.unique(assign, return_inverse=True)
+    labels, t = np.unique(truth, return_inverse=True)
+    shape = (len(clusters), len(labels))
+    table = np.bincount(a * shape[1] + t, minlength=shape[0] * shape[1]).reshape(shape)
+    return int(table.max(axis=1).sum()) / len(truth)

@@ -114,6 +114,30 @@ def test_cluster_k_grid(graph_file, tmp_path, capsys):
     assert plot.read_text().startswith("k,purity,ci95\n")
 
 
+def test_cluster_k_grid_csv_is_the_plot_table(graph_file, tmp_path, capsys):
+    path, labels = graph_file
+    plot = tmp_path / "sweep.csv"
+    code, out = _run(capsys, ["cluster", "--graph", path, "--algo", "kmeans", "--clusters", "2",
+                              "--labels", labels, "--k-grid", "1,2", "--plot", str(plot), "--out", "csv"])
+    assert code == 0
+    assert out == plot.read_text() and out.startswith("k,purity,ci95\n") and out.count("\n") == 3
+
+
+@pytest.mark.parametrize("subcommand", ["compare", "resilience"])
+def test_csv_without_a_csv_form_is_usage_error(graph_file, tmp_path, capsys, subcommand):
+    path, _ = graph_file
+    if subcommand == "compare":
+        scores = tmp_path / "s.json"
+        assert main(["centrality", "--graph", path, "--measure", "resistance", "--output", str(scores)]) == 0
+        argv = ["compare", "--scores-a", str(scores), "--scores-b", str(scores)]
+    else:
+        argv = ["resilience", "--graph", path, "--measure", "resistance", "--added", "2", "--trials", "1"]
+    capsys.readouterr()
+    assert main(argv + ["--out", "csv"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and subcommand in captured.err
+
+
 def test_generate_then_load(tmp_path, capsys):
     out_path = tmp_path / "gen.txt"
     code, out = _run(capsys, ["generate", "--model", "erdos_renyi", "--n", "12",

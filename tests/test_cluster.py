@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from graphharm import cluster, flow, generators, spectra, validate
+from graphharm import cluster, flow, generators, harmonic, io, spectra, validate
 from graphharm.cluster import (
     girvan_newman,
     kharmonic_kmeans,
@@ -39,6 +41,72 @@ def test_kmeans_handles_more_clusters_than_natural():
     pts, _ = _two_blobs()
     res, _ = kmeans(pts, 5, seed=2)
     assert len(set(res.assignment.tolist())) == 5  # empty clusters get reseeded
+
+
+def _reference_lloyd(points, c, seed):
+    """The broadcasting Lloyd loop, one n x c x d array per iteration and a
+    loop over the clusters: the oracle for `cluster.lloyd_iterations` on
+    inputs whose empty clusters, if any, it reseeds without emptying another."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    rng = np.random.default_rng(seed)
+    centroids = pts[rng.choice(n, size=c, replace=False)].copy()
+    prev = None
+    for _ in range(cluster.MAX_ITERS):
+        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+        assign = np.argmin(d2, axis=1)
+        dist_to_own = d2[np.arange(n), assign]
+        for cid in range(c):
+            if not np.any(assign == cid):
+                far = int(np.argmax(dist_to_own))
+                assign[far] = cid
+                dist_to_own[far] = 0.0
+        inertia = 0.0
+        for cid in range(c):
+            members = pts[assign == cid]
+            centroids[cid] = members.mean(axis=0)
+            inertia += float(np.sum((members - centroids[cid]) ** 2))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+    return assign, inertia
+
+
+def _lloyd_inputs():
+    """(points, c, seed): criterion 6's SBMs under its four embeddings, the
+    blobs300 k-NN graph's rank-3 embedding and seeded normal points."""
+    for seed in range(10):
+        g, _ = generators.sbm([50, 50, 50], 0.6, 0.2, seed=seed)
+        dec = harmonic.decomposition(g)
+        for k, r in ((10.0, 3), (10.0, None), (0.0, 3), (1.0, None)):
+            yield spectra.embedding(dec, k, r), 3, seed
+    pts, _ = io.bundled_points("blobs300")
+    blobs = spectra.embedding(harmonic.decomposition(generators.knn(pts, 10)), 10.0, 3)
+    for seed in range(5):
+        yield blobs, 3, seed
+    for seed in range(10):
+        yield np.random.default_rng(seed).normal(size=(200, 5)), 7, seed
+
+
+def test_kmeans_matches_the_reference_loop():
+    for pts, c, seed in _lloyd_inputs():
+        res, inertia = kmeans(pts, c, seed)
+        assign, expect = _reference_lloyd(pts, c, seed)
+        assert res.assignment.tolist() == assign.tolist()
+        assert abs(inertia - expect) <= 1e-12 * expect
+
+
+def test_empty_clusters_are_reseeded_without_emptying_another():
+    # the rank-1 embedding of a star puts its six leaves on one point, and
+    # duplicate-heavy points start from coinciding centroids
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = low_rank_kharmonic_kmeans(generators.star(7), 5, 2.0, 1, 0)
+        assert np.all(np.bincount(res.assignment, minlength=5) > 0)
+        for seed in range(50):
+            pts = rng.integers(0, 3, size=(int(rng.integers(6, 30)), 2)).astype(float)
+            assert np.all(np.bincount(kmeans(pts, 6, seed)[0].assignment, minlength=6) > 0)
 
 
 def test_kharmonic_kmeans_on_two_blocks():
