@@ -16,10 +16,12 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
-from . import __version__, _threads, cluster, flow, generators, harmonic, io, validate
+from . import __version__, _threads, cluster, flow, generators, harmonic, io, spectra, validate
 from .generators import GenerationError
 from .graph import DisconnectedGraphError, Graph, GraphError
 from .io import ParseError
@@ -82,29 +84,61 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     return meta
 
 
-def _csv(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(str(x) for x in row) for row in rows]) + "\n"
+# rows per written block: the text of one block is the largest temporary
+_BLOCK_ROWS = 4096
 
 
-def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
-    if getattr(args, "out", "json") == "csv":
-        if csv_rows is None:
-            raise UsageError(f"{args.subcommand} has no CSV output; use --out json")
-        text = _csv(csv_header, csv_rows)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_rows(fh, cols, template: str, sep: str) -> None:
+    """Write template % row for each row of the columns, joined by sep, one
+    block of rows at a time.  `.tolist()` prints ints with str and floats
+    with repr, as json does for finite floats (the library returns no other)."""
+    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+        rows = zip(*(c[lo:lo + _BLOCK_ROWS].tolist() for c in cols))
+        flat = tuple(chain.from_iterable(rows))
+        fh.write((sep if lo else "") + sep.join([template] * (len(flat) // len(cols))) % flat)
 
 
-def _parse_pairs(spec: str, g: Graph) -> list[tuple[int, int]]:
+def _write_csv(fh, table: dict) -> None:
+    fh.write(",".join(table) + "\n")
+    _write_rows(fh, list(table.values()), ",".join(["%s"] * len(table)) + "\n", "")
+
+
+def _write_json(fh, payload: dict, table: dict | None, key: str | None) -> None:
+    """json.dumps(payload, indent=2, sort_keys=True) + newline, with payload[key]
+    the rows of `table` as objects, written without building them."""
+    text = json.dumps({**payload, key: []} if key else payload, indent=2, sort_keys=True) + "\n"
+    if key is None or not len(next(iter(table.values()))):
+        fh.write(text)
+        return
+    marker = f'\n  "{key}": ['
+    head, tail = text.split(marker + "]")
+    names = sorted(table)
+    template = "    {\n" + ",\n".join(f'      "{name}": %s' for name in names) + "\n    }"
+    fh.write(head + marker + "\n")
+    _write_rows(fh, [table[name] for name in names], template, ",\n")
+    fh.write("\n  ]" + tail)
+
+
+def _emit(payload: dict, args, table: dict | None = None, key: str | None = None) -> None:
+    """Write payload as JSON, or `table` (equal-length numpy columns, in CSV
+    order) as CSV under --out csv; under JSON the table is payload[key]."""
+    csv = getattr(args, "out", "json") == "csv"
+    if csv and table is None:
+        raise UsageError(f"{args.subcommand} has no CSV output; use --out json")
+    path = getattr(args, "output", None)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        if csv:
+            _write_csv(fh, table)
+        else:
+            _write_json(fh, payload, table, key)
+
+
+def _parse_pairs(spec: str, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (s, t) of the pairs that `spec` names."""
     if spec == "all":
-        return [(s, t) for s in range(g.n) for t in range(s + 1, g.n)]
+        return np.triu_indices(g.n, 1)
     if spec == "edges":
-        return [(u, v) for u, v, _ in g.edges]
+        return g._u, g._v
     pairs = []
     for chunk in spec.split(","):
         try:
@@ -115,7 +149,8 @@ def _parse_pairs(spec: str, g: Graph) -> list[tuple[int, int]]:
     for s, t in pairs:
         if not (0 <= s < g.n) or not (0 <= t < g.n):
             raise UsageError(f"pair ({s},{t}) out of range for n={g.n}")
-    return pairs
+    s, t = zip(*pairs)
+    return np.array(s, dtype=np.int64), np.array(t, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -123,61 +158,28 @@ def _parse_pairs(spec: str, g: Graph) -> list[tuple[int, int]]:
 
 
 def cmd_distances(args):
+    """Rows (s, t, value, value_squared).  Only `all` forms the n x n matrix;
+    edges and explicit pairs read the embedding rows of their vertices."""
     g = io.load_edge_list(args.graph)
-    pairs = _parse_pairs(args.pairs, g)
-    dec = harmonic.decomposition(g)
-    if args.rank is None:
-        D2 = harmonic.kharmonic_sq_matrix(g, args.k, dec)
+    s, t = _parse_pairs(args.pairs, g)
+    dec = harmonic._connected_dec(g)
+    if args.pairs == "all":
+        sq = harmonic._sq_matrix(spectra.embedding(dec, args.k, args.rank))[s, t]
     else:
-        D2 = harmonic.kharmonic_rank_sq_matrix(g, args.k, args.rank, dec)
-    rows = [
-        {"s": s, "t": t, "value": float(np.sqrt(D2[s, t])), "value_squared": float(D2[s, t])}
-        for s, t in pairs
-    ]
-    payload = {
-        "meta": _meta(args, "distances", {"k": args.k, "rank": args.rank}),
-        "rows": rows,
-    }
-    _emit(
-        payload,
-        args,
-        csv_rows=[(r["s"], r["t"], repr(r["value"]), repr(r["value_squared"])) for r in rows],
-        csv_header="s,t,value,value_squared",
-    )
-
-
-def _scores_payload(g: Graph, scores, args, subcommand: str) -> dict:
-    ranks = scores.ranks
-    edges = [
-        {
-            "index": e,
-            "u": int(g.edges[e][0]),
-            "v": int(g.edges[e][1]),
-            "score": float(scores.values[e]),
-            "rank": int(ranks[e]),
-        }
-        for e in range(g.m)
-    ]
-    return {"meta": _meta(args, subcommand, {"measure": args.measure}), "edges": edges}
+        sq = spectra.embedding_sq_distances(dec, args.k, s, t, args.rank)
+    payload = {"meta": _meta(args, "distances", {"k": args.k, "rank": args.rank})}
+    _emit(payload, args, {"s": s, "t": t, "value": np.sqrt(sq), "value_squared": sq}, "rows")
 
 
 def cmd_centrality(args):
     g = io.load_edge_list(args.graph)
     scores = flow.edge_measure(g, args.measure, args.k)
-    payload = _scores_payload(g, scores, args, "centrality")
     if args.plot:
-        rows = ((pos, int(e), repr(scores.values[e])) for pos, e in enumerate(scores.ranking))
+        ranking = scores.ranking
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(_csv("rank,edge_index,score", rows))
-    _emit(
-        payload,
-        args,
-        csv_rows=[
-            (r["index"], r["u"], r["v"], repr(r["score"]), r["rank"])
-            for r in payload["edges"]
-        ],
-        csv_header="index,u,v,score,rank",
-    )
+            _write_csv(fh, {"rank": np.arange(g.m), "edge_index": ranking, "score": scores.values[ranking]})
+    table = {"index": np.arange(g.m), "u": g._u, "v": g._v, "score": scores.values, "rank": scores.ranks}
+    _emit({"meta": _meta(args, "centrality", {"measure": args.measure})}, args, table, "edges")
 
 
 def _load_scores_file(path) -> tuple[harmonic.EdgeScores, list[tuple[int, int]]]:
@@ -187,7 +189,7 @@ def _load_scores_file(path) -> tuple[harmonic.EdgeScores, list[tuple[int, int]]]
         edges = data["edges"]
         vals = np.array([e["score"] for e in edges], dtype=np.float64)
         keys = [(min(e["u"], e["v"]), max(e["u"], e["v"])) for e in edges]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, 0, f"not a scores JSON file ({exc})")
     return harmonic.EdgeScores(vals, "loaded"), keys
 
@@ -243,27 +245,21 @@ def cmd_cluster(args):
         _cluster_k_sweep(g, args, labels, seeds)
         return
     results = [_run_cluster_once(g, args, s) for s in seeds]
-    purities = (
-        [cluster.purity(r, labels) for r in results] if labels is not None else None
-    )
-    mean_purity = float(np.mean(purities)) if purities else None
-    ci95 = (
-        float(1.96 * np.std(purities, ddof=1) / np.sqrt(len(purities)))
-        if purities and len(purities) > 1
-        else None
-    )
+    mean, ci95 = _mean_ci95([cluster.purity(r, labels) for r in results]) if labels is not None else (None, None)
+    assignment = results[0].assignment
     payload = {
         "meta": _meta(args, "cluster", {"algo": args.algo, "n_runs": len(seeds)}),
-        "assignment": [int(x) for x in results[0].assignment],
-        "purity": mean_purity,
+        "assignment": assignment.tolist(),
+        "purity": mean,
         "ci95": ci95,
     }
-    _emit(
-        payload,
-        args,
-        csv_rows=list(enumerate(payload["assignment"])),
-        csv_header="vertex,cluster",
-    )
+    _emit(payload, args, {"vertex": np.arange(len(assignment)), "cluster": assignment})
+
+
+def _mean_ci95(purities: list) -> tuple[float, float | None]:
+    """Mean purity and the half-width of its 95% interval (None for one run)."""
+    ci = float(1.96 * np.std(purities, ddof=1) / np.sqrt(len(purities))) if len(purities) > 1 else None
+    return float(np.mean(purities)), ci
 
 
 def _cluster_k_sweep(g, args, labels, seeds):
@@ -271,23 +267,17 @@ def _cluster_k_sweep(g, args, labels, seeds):
     text that --out csv emits)."""
     if labels is None:
         raise UsageError("--k-grid requires --labels to evaluate purity")
-    rows = []
+    means, cis = [], []
     for k in args.k_grid:
         sub = argparse.Namespace(**{**vars(args), "k": k})
-        purities = [cluster.purity(_run_cluster_once(g, sub, s), labels) for s in seeds]
-        mean = float(np.mean(purities))
-        ci = (
-            float(1.96 * np.std(purities, ddof=1) / np.sqrt(len(purities)))
-            if len(purities) > 1
-            else 0.0
-        )
-        rows.append({"k": k, "purity": mean, "ci95": ci})
-    table = [(repr(r["k"]), repr(r["purity"]), repr(r["ci95"])) for r in rows]
+        mean, ci = _mean_ci95([cluster.purity(_run_cluster_once(g, sub, s), labels) for s in seeds])
+        means.append(mean)
+        cis.append(0.0 if ci is None else ci)
+    table = {"k": np.array(args.k_grid), "purity": np.array(means), "ci95": np.array(cis)}
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(_csv("k,purity,ci95", table))
-    payload = {"meta": _meta(args, "cluster", {"algo": args.algo}), "sweep": rows}
-    _emit(payload, args, csv_rows=table, csv_header="k,purity,ci95")
+            _write_csv(fh, table)
+    _emit({"meta": _meta(args, "cluster", {"algo": args.algo})}, args, table, "sweep")
 
 
 def cmd_generate(args):
@@ -424,27 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each handled error type, first match wins: subclasses of
+# GraphError (ParseError, DisconnectedGraphError, GenerationError) come first
+_EXIT_CODES = (
+    ((UsageError,), EXIT_USAGE),
+    ((ParseError, OSError, json.JSONDecodeError), EXIT_IO),
+    ((DisconnectedGraphError, GenerationError), EXIT_MATH),
+    ((GraphError, SpectraError), EXIT_USAGE),
+)
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args.func(args)
         return EXIT_OK
-    except UsageError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (FileNotFoundError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DisconnectedGraphError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except (GraphError, SpectraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     except SystemExit as exc:
         return int(exc.code or 0)
 

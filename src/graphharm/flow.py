@@ -264,8 +264,10 @@ def resilience_experiment(
     (`pinv_order`) adds to its scores the change that one
     rank-`num_added` Woodbury update makes (`spectra.pinv_update_reads`),
     O(n^2 a + m a) from g's eigenvectors; any other measure is recomputed
-    on the perturbed graph.
+    on the perturbed graph.  num_added and trials must be at least 1.
     """
+    if num_added < 1 or trials < 1:
+        raise GraphError(f"need num_added >= 1 and trials >= 1, got {num_added} and {trials}")
     require_connected(g)
     original = edge_measure(g, measure, k)
     order = pinv_order(measure, k)

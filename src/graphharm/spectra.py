@@ -210,13 +210,13 @@ def quadratic_reads(M: np.ndarray, s, t) -> np.ndarray:
     return d[s] + d[t] - 2.0 * M[s, t]
 
 
-def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t) -> np.ndarray:
-    """||Y_s[i] - Y_t[i]||^2 for index arrays s and t, Y = embedding(dec, k).
+def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t, r: int | None = None) -> np.ndarray:
+    """||Y_s[i] - Y_t[i]||^2 for index arrays s and t, Y = embedding(dec, k, r).
 
     Only the rows read are formed, in blocks of about 2**15 floats:
     O(len(s) * n) time and no n x n temporary.
     """
-    X, half = _selected(dec, k, None)
+    X, half = _selected(dec, k, r)
     s, t = np.asarray(s), np.asarray(t)
     out = np.empty(len(s))
     step = max(1, _BLOCK_ELEMENTS // len(half))

@@ -138,6 +138,30 @@ def test_csv_without_a_csv_form_is_usage_error(graph_file, tmp_path, capsys, sub
     assert captured.out == "" and subcommand in captured.err
 
 
+@pytest.mark.parametrize("added, trials", [("0", "2"), ("-1", "2"), ("2", "0")])
+@pytest.mark.parametrize("measure", ["resistance", "biharmonic2", "betweenness"])
+def test_empty_resilience_experiment_is_usage_error(graph_file, capsys, measure, added, trials):
+    path, _ = graph_file
+    code = main(["resilience", "--graph", path, "--measure", measure, "--added", added, "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and "num_added >= 1 and trials >= 1" in captured.err
+
+
+def test_non_numeric_score_is_parse_error(graph_file, tmp_path, capsys):
+    path, _ = graph_file
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert main(["centrality", "--graph", path, "--measure", "resistance", "--output", str(good)]) == 0
+    data = json.loads(good.read_text())
+    data["edges"][0]["score"] = "abc"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["compare", "--scores-a", str(good), "--scores-b", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and f"{bad}" in captured.err and "not a scores JSON file" in captured.err
+
+
 def test_generate_then_load(tmp_path, capsys):
     out_path = tmp_path / "gen.txt"
     code, out = _run(capsys, ["generate", "--model", "erdos_renyi", "--n", "12",

@@ -283,3 +283,12 @@ def test_resilience_rebuilds_for_other_measures(monkeypatch):
 def test_resilience_rejects_complete_graph(k4):
     with pytest.raises(GraphError):
         resilience_experiment(k4, "resistance", num_added=1, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("measure", flow.MEASURES)
+@pytest.mark.parametrize("num_added, trials", [(0, 2), (-1, 2), (2, 0)])
+def test_resilience_rejects_an_empty_experiment(measure, num_added, trials):
+    # the low-rank route (resistance, biharmonic2, kharmonic2 at k=2) and the rebuild route alike
+    g, _ = generators.sbm([6, 6], 0.7, 0.2, 1)
+    with pytest.raises(GraphError, match="num_added >= 1 and trials >= 1"):
+        resilience_experiment(g, measure, num_added=num_added, trials=trials, seed=0, k=2.0)
