@@ -194,7 +194,7 @@ def _delete_edge(pinv, a, b, w) -> bool:
     if pinv is None:
         return False
     P, Q = pinv
-    if 1.0 - w * (P[a, a] + P[b, b] - 2.0 * P[a, b]) < _SQRT_EPS:
+    if 1.0 - w * spectra.quadratic_reads(P, a, b) < _SQRT_EPS:
         return False
     spectra.pinv_update(P, Q, [a], [b], [-w])
     return True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .graph import Graph, GraphError, bridges, require_connected, require_vertex
+from .graph import Graph, GraphError, require_connected, require_vertex
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,6 @@ def biharmonic_edge_sq(g: Graph, dec=None) -> EdgeScores:
     return EdgeScores(scores.values, "B_e^2")
 
 
-def biharmonic_edges_via_down_laplacian(g: Graph) -> EdgeScores:
-    """w_e * B_e^2 read off the diagonal of the down-Laplacian pseudoinverse.
-
-    L_down = A^T A with A = boundary W^{1/2} (n x m) is the edge-space
-    operator.  Since (A^T A)^+ = A^+ (A^+)^T, its diagonal is the squared
-    row norms of A^+: one O(n^2 m) SVD of A, and no m x m matrix.  This
-    route shares nothing with the vertex-space one beyond the boundary
-    matrix itself.
-    """
-    require_connected(g)
-    A_pinv = np.linalg.pinv(g.weighted_boundary())
-    return EdgeScores(np.einsum("ij,ij->i", A_pinv, A_pinv), "w_e*B_e^2")
-
-
 def total_resistance(g: Graph, dec=None) -> float:
     """Kirchhoff index: sum of R_st over unordered pairs = n * trace(L^+)."""
     dec = _connected_dec(g, dec)
@@ -166,32 +152,3 @@ def rtot_derivative_check(g: Graph, e: int, h: float = 1e-4) -> tuple[float, flo
     down = total_resistance(g.with_weight(e, w - h))
     numeric = (up - down) / (2.0 * h)
     return analytic, numeric
-
-
-def edge_deletion_check(g: Graph, e: int, tol: float = 1e-8):
-    """Probe for the R_tot(G) - R_tot(G\\e) formula on unweighted graphs.
-
-    Returns (lhs, candidates, matched) where candidates holds
-    -n*B_e^2/(1+R_e) and -n*B_e^2/(1-R_e) and matched names the candidate
-    agreeing with the direct computation (the printed formula's "1+R_e"
-    does not match; the "1-R_e" variant does).
-    """
-    if not np.allclose(g.weights, 1.0):
-        raise GraphError("edge_deletion_check requires an unweighted graph")
-    require_connected(g)
-    if e in bridges(g):
-        raise GraphError(f"edge {e} is a bridge; G\\e is disconnected")
-    u, v, _ = g.edges[e]
-    dec = decomposition(g)
-    r_e = effective_resistance(g, u, v, dec)
-    b_sq = biharmonic_distance(g, u, v, dec) ** 2
-    lhs = total_resistance(g, dec) - total_resistance(g.without_edge(e))
-    candidates = (-g.n * b_sq / (1.0 + r_e), -g.n * b_sq / (1.0 - r_e))
-    names = ("1+R_e", "1-R_e")
-    matched = None
-    for name, cand in zip(names, candidates):
-        if abs(cand - lhs) <= tol * max(1.0, abs(lhs)):
-            matched = name
-            break
-    return lhs, candidates, matched
-

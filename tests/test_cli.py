@@ -191,6 +191,18 @@ def test_validate_subcommand(capsys):
     assert all(r["passed"] for r in reports)
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0"],
+    ["--trials", "-3"],
+    ["--n-min", "50", "--n-max", "20"],
+])
+def test_validate_rejects_bad_suite_sizes(capsys, argv):
+    code = main(["validate", "--suite", "foster", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith("error: ")
+
 def test_meta_records_the_requested_thread_cap(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(graphharm.__file__).resolve().parent.parent)

@@ -10,8 +10,6 @@ from graphharm.harmonic import (
     EdgeScores,
     biharmonic_distance,
     biharmonic_edge_sq,
-    biharmonic_edges_via_down_laplacian,
-    edge_deletion_check,
     edge_kharmonic_sq,
     effective_resistance,
     kharmonic_matrix,
@@ -56,7 +54,7 @@ def test_path_center_edge_biharmonic(p4, p3):
 def test_down_laplacian_route_agrees():
     g = random_weighted(14, 0.4, seed=5)
     direct = g.weights * biharmonic_edge_sq(g).values
-    via = biharmonic_edges_via_down_laplacian(g).values
+    via = validate._down_laplacian_diagonal(g)
     assert np.allclose(via, direct, atol=1e-10)
 
 
@@ -66,7 +64,7 @@ def test_down_laplacian_diagonal_matches_the_edge_space_pinv(family, seed):
     g = validate.sample_graph(family, 12 + 9 * seed, seed)
     A = g.weighted_boundary()
     oracle = np.diag(np.linalg.pinv(A.T @ A, hermitian=True))  # the m x m route
-    assert np.allclose(biharmonic_edges_via_down_laplacian(g).values, oracle, rtol=1e-10, atol=0)
+    assert np.allclose(validate._down_laplacian_diagonal(g), oracle, rtol=1e-10, atol=0)
 
 
 def test_total_resistance_path(p3):
@@ -122,10 +120,13 @@ def test_derivative_of_total_resistance():
 
 
 def test_deletion_identity_on_triangle():
+    # K3: R_e = 2/3 and B_e^2 = 2/9, so -n B_e^2 / (1 - R_e) = -2 matches
+    # R_tot(G) - R_tot(G - e) = 2 - 4, where the printed 1 + R_e gives -0.4
     g = generators.complete(3)
-    lhs, _candidates, matched = edge_deletion_check(g, 0)
-    assert lhs == pytest.approx(-2.0, abs=1e-9)
-    assert matched == "1-R_e"
+    lhs, rhs = validate._check_deletion(g)
+    assert np.allclose(lhs, -2.0, atol=1e-12) and np.allclose(rhs, -2.0, atol=1e-12)
+    r_e, b_sq = effective_resistance(g, 0, 1), biharmonic_distance(g, 0, 1) ** 2
+    assert -g.n * b_sq / (1.0 + r_e) == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_ranking_breaks_ties_by_index():

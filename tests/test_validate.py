@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphharm import generators, harmonic, spectra, validate
+from graphharm.cli import main
 from graphharm.graph import GraphError
 from graphharm.validate import brute_force_distance, run_suite, sample_graph
 
@@ -46,6 +49,64 @@ def test_report_serialization_and_table():
     assert d["name"] == "foster" and d["passed"] is True
     table = validate.format_report_table(reports)
     assert "foster" in table and "pass" in table
+
+
+def test_oracle_reports_its_worst_comparison():
+    # the pairs `_check_oracle` samples on the default instances, compared
+    # here as |spectral - oracle| / oracle
+    expected = 0.0
+    for _, g in validate._graphs(20, 10, 60, 0, validate.FAMILIES, 25, {}):
+        dec = harmonic.decomposition(g)
+        rng = np.random.default_rng(3 * g.n + g.m)
+        for k in (1, 2, 3, 5):
+            M = spectra.pinv_power(dec, float(k))
+            for _ in range(4):
+                s, t = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+                spectral = np.sqrt(spectra.quadratic_reads(M, s, t))
+                oracle = brute_force_distance(g, k, s, t)
+                expected = max(expected, abs(spectral - oracle) / oracle)
+    (report,) = run_suite(["oracle"])
+    assert expected > 1e-13
+    assert report.worst_rel == pytest.approx(expected, rel=1e-2, abs=0.0)
+    assert report.worst_abs == report.worst_rel
+
+
+def test_reducer_keeps_the_largest_relative_gap(monkeypatch):
+    # the larger absolute gap (1 against 100) is the smaller relative one
+    def check(g):
+        return np.array([101.0, 1.5]), np.array([100.0, 1.0])
+
+    monkeypatch.setitem(validate.CHECKS, "synthetic", (check, 0.1, ("er",), 12))
+    (report,) = run_suite(["synthetic"], trials=2)
+    assert (report.worst_abs, report.worst_rel, report.passed) == (1.0, 0.5, False)
+
+
+def test_reducer_keeps_the_worst_instance(monkeypatch):
+    def check(g):
+        return 1.0 + 1e-3 * (g.m == g.n - 1), 1.0  # only the trees deviate
+
+    monkeypatch.setitem(validate.CHECKS, "synthetic", (check, 1e-2, ("tree", "er"), None))
+    (report,) = run_suite(["synthetic"], n_range=(11, 12), trials=4)
+    assert (report.family, report.passed) == ("tree", True)
+    assert report.worst_rel == pytest.approx(1e-3, rel=1e-9, abs=0.0)
+
+
+def test_a_nan_comparison_fails(monkeypatch):
+    monkeypatch.setitem(validate.CHECKS, "synthetic", (lambda g: (np.array([0.0, np.nan]), 0.0), 1.0, ("er",), 12))
+    (report,) = run_suite(["synthetic"], trials=3)
+    assert np.isnan(report.worst_rel) and not report.passed
+
+
+def test_every_check_returns_two_sides_that_broadcast():
+    for name, (fn, _, families, max_n) in validate.CHECKS.items():
+        lhs, rhs = (np.asarray(side, dtype=float) for side in fn(sample_graph(families[0], min(12, max_n or 12), 0)))
+        assert np.broadcast(lhs, rhs).ndim <= 1, name
+
+
+def test_json_report_keys_are_pinned(capsys):
+    assert main(["validate", "--suite", "foster", "--trials", "1", "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["family", "name", "passed", "seed", "threshold", "worst_abs", "worst_rel"]
 
 
 ALL = ("er", "tree", "er_weighted", "tree_weighted", "sbm")
