@@ -103,7 +103,7 @@ def _write_csv(fh, table: dict) -> None:
     _write_rows(fh, list(table.values()), ",".join(["%s"] * len(table)) + "\n", "")
 
 
-def _write_json(fh, payload: dict, table: dict | None, key: str | None) -> None:
+def _write_json(fh, payload: dict | list, table: dict | None, key: str | None) -> None:
     """json.dumps(payload, indent=2, sort_keys=True) + newline, with payload[key]
     the rows of `table` as objects, written without building them."""
     text = json.dumps({**payload, key: []} if key else payload, indent=2, sort_keys=True) + "\n"
@@ -119,7 +119,7 @@ def _write_json(fh, payload: dict, table: dict | None, key: str | None) -> None:
     fh.write("\n  ]" + tail)
 
 
-def _emit(payload: dict, args, table: dict | None = None, key: str | None = None) -> None:
+def _emit(payload: dict | list, args, table: dict | None = None, key: str | None = None) -> None:
     """Write payload as JSON, or `table` (equal-length numpy columns, in CSV
     order) as CSV under --out csv; under JSON the table is payload[key]."""
     csv = getattr(args, "out", "json") == "csv"
@@ -315,9 +315,7 @@ def cmd_validate(args):
         suite, n_range=(args.n_min, args.n_max), trials=args.trials, seed=args.seed
     )
     if args.json:
-        sys.stdout.write(
-            json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-        )
+        _emit([r.to_dict() for r in reports], args)
     else:
         sys.stdout.write(validate.format_report_table(reports) + "\n")
     if not all(r.passed for r in reports):

@@ -5,7 +5,7 @@ resistance embedding Y (`spectra.embedding` at k=1); the matching flow is
 f_st = W boundary^T p_st, signed relative to each edge's stored
 orientation.  The all-pairs centralities need no loop over pairs: the
 squared-flow sum is n w_e B_e^2, and the current-flow sum is a sorted
-row of the m x n generalized flow matrix against fixed coefficients.
+row w_e (L^+[u_e] - L^+[v_e]) against fixed coefficients.
 """
 
 from __future__ import annotations
@@ -49,7 +49,10 @@ def st_flow(g: Graph, s: int, t: int, dec=None) -> Flow:
     return Flow(s, t, g._w * (p[g._u] - p[g._v]))
 
 
-def min_norm_certificate(g: Graph, f: Flow, tol: float = 1e-8) -> bool:
+_CERTIFICATE_TOL = 1e-8
+
+
+def min_norm_certificate(g: Graph, f: Flow) -> bool:
     """Check f is the minimum-energy flow for its divergence.
 
     The electrical flow is the one flow of its divergence that obeys
@@ -61,23 +64,7 @@ def min_norm_certificate(g: Graph, f: Flow, tol: float = 1e-8) -> bool:
     target = f.values / g.weights
     Bt = g.boundary().T
     p = np.linalg.lstsq(Bt, target, rcond=None)[0]
-    return bool(np.linalg.norm(Bt @ p - target) <= tol * max(1.0, float(np.linalg.norm(target))))
-
-
-def generalized_flow_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
-    """Rows (weighted_boundary 1_e)^T (L^+)^k, an m x n matrix.
-
-    Row e is sqrt(w_e) (M[u_e] - M[v_e]) with M = Y Y^T = (L^+)^k and
-    Y = embedding(dec, k).  At k=1 row e against (1_s - 1_t) gives
-    f_st(e)/sqrt(w_e).
-    """
-    Y = spectra.embedding(harmonic._connected_dec(g, dec), k)
-    M = Y @ Y.T
-    del Y
-    F = M[g._u]
-    F -= M[g._v]
-    F *= np.sqrt(g._w)[:, None]
-    return F
+    return bool(np.linalg.norm(Bt @ p - target) <= _CERTIFICATE_TOL * max(1.0, float(np.linalg.norm(target))))
 
 
 def squared_flow_centrality(g: Graph, dec=None) -> EdgeScores:
@@ -93,14 +80,21 @@ def squared_flow_centrality(g: Graph, dec=None) -> EdgeScores:
 def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     """C_e = sum over unordered pairs of |f_st(e)|.
 
-    Row e of sqrt(w) * the k=1 generalized flow matrix holds a_s with
-    f_st(e) = a_s - a_t; over that row sorted ascending,
-    sum_{s<t} |a_s - a_t| = sum_i a_(i) (2i - n + 1) (0-based i).
+    Row a = w_e (L^+[u_e] - L^+[v_e]) holds f_st(e) = a_s - a_t; sorted
+    ascending, sum_{s<t} |a_s - a_t| = sum_i a_(i) (2i - n + 1) (0-based i).
+    Rows are formed and sorted in blocks of about spectra._BLOCK_ELEMENTS
+    floats, so beside L^+ no m x n array is held.
     """
-    F = generalized_flow_matrix(g, 1.0, dec)
-    F *= np.sqrt(g._w)[:, None]
-    F.sort(axis=1)
-    return EdgeScores(F @ (2.0 * np.arange(g.n) - g.n + 1.0), "C_e")
+    P = spectra.pinv_powers(harmonic._connected_dec(g, dec), 1)[0]
+    coeffs = 2.0 * np.arange(g.n) - g.n + 1.0
+    out = np.empty(g.m)
+    step = max(1, spectra._BLOCK_ELEMENTS // g.n)
+    for lo in range(0, g.m, step):
+        F = P[g._u[lo:lo + step]] - P[g._v[lo:lo + step]]
+        F *= g._w[lo:lo + step, None]
+        F.sort(axis=1)
+        out[lo:lo + step] = F @ coeffs
+    return EdgeScores(out, "C_e")
 
 
 # A block of BFS sources in edge_betweenness spans about this many entries

@@ -48,8 +48,8 @@ class SpectralDecomposition:
         return self.eigenvectors[:, self.kernel_dim:]
 
 
-# A block read by decompose's sign convention, embedding_sq_distances or
-# harmonic._sq_matrix holds about this many floats: small temporaries at any n.
+# Floats in one block read by decompose's sign convention, embedding_sq_distances,
+# harmonic._sq_matrix or flow.current_flow_centrality: small temporaries at any n.
 _BLOCK_ELEMENTS = 2**15
 
 

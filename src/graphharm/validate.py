@@ -178,16 +178,22 @@ def _pair_sums(F: np.ndarray, term) -> np.ndarray:
     """Per row of F, the sum over column pairs s < t of term(F[:, s] - F[:, t]).
 
     The O(m n^2) oracle for both flow centralities: f_st(e) is
-    sqrt(w_e) (G[e, s] - G[e, t]) in the k=1 generalized flow matrix G.
+    sqrt(w_e) (G[e, s] - G[e, t]) in G = `_flow_matrix(g, dec, 1.0)`.
     """
     return np.sum(term(_pair_differences(F)), axis=1)
+
+
+def _flow_matrix(g: Graph, dec, k: float) -> np.ndarray:
+    """The m x n rows sqrt(w_e) (M[u_e] - M[v_e]), M = `pinv_power(dec, k)`: the flow
+    checks' slow route.  At k=1 row e against 1_s - 1_t gives f_st(e) / sqrt(w_e)."""
+    return g.weighted_boundary().T @ spectra.pinv_power(dec, k)
 
 
 def _check_flow_identity(g: Graph):
     """Both flow centralities against the pair sums they close, and the
     squared-flow sums against R_tot."""
     dec = harmonic.decomposition(g)
-    G = flow.generalized_flow_matrix(g, 1.0, dec)
+    G = _flow_matrix(g, dec, 1.0)
     squared = flow.squared_flow_centrality(g, dec).values
     squared_sums = _pair_sums(G, np.square)
     G *= np.sqrt(g.weights)[:, None]
@@ -201,7 +207,7 @@ def _check_flow_identity(g: Graph):
 def _check_flow_edge_sums(g: Graph):
     dec = harmonic.decomposition(g)
     return _sides(*(
-        (_pair_sums(flow.generalized_flow_matrix(g, k, dec), np.square),
+        (_pair_sums(_flow_matrix(g, dec, k), np.square),
          g.n * g.weights * harmonic.edge_kharmonic_sq(g, 2 * k, dec).values)
         for k in (0.5, 1.0, 2.0)
     ))
@@ -211,7 +217,7 @@ def _check_flow_pair_sums(g: Graph):
     dec = harmonic.decomposition(g)
     pairs = np.triu_indices(g.n, 1)
     return _sides(*(
-        (np.sum(_pair_differences(flow.generalized_flow_matrix(g, k, dec)) ** 2, axis=0),
+        (np.sum(_pair_differences(_flow_matrix(g, dec, k)) ** 2, axis=0),
          harmonic.kharmonic_sq_matrix(g, 2 * k - 1, dec)[pairs])
         for k in (0.5, 1.0, 2.0)
     ))
@@ -288,8 +294,7 @@ def _check_sparse_cut(g: Graph):
 
 
 def _check_sweep_separation(g: Graph):
-    Y = spectra.embedding(harmonic.decomposition(g), 1.0)
-    P = Y @ Y.T  # L^+: column s - column t is the st-potential
+    P = spectra.pinv_powers(harmonic.decomposition(g), 1)[0]  # L^+: P[:, s] - P[:, t] is p_st
     violations = 0
     for u, v, _ in g.edges:
         cut = cluster.sweep_cut(g, P[:, u] - P[:, v])
@@ -448,10 +453,9 @@ def _sq_matrix_reference(M: np.ndarray) -> np.ndarray:
 
 
 def _check_spectral_reads(g: Graph):
-    """Embedding reads (pairs, edges, matrices, potentials, flows,
-    generalized flows) against the (L^+)^k matrices they replace, the
-    matrices' exact symmetry, and the memoised decomposition against a
-    fresh one."""
+    """Embedding reads (pairs, edges, matrices, potentials, flows) against
+    the (L^+)^k matrices they replace, the matrices' exact symmetry, and the
+    memoised decomposition against a fresh one."""
     dec = harmonic.decomposition(g)
     fresh = spectra.decompose(g.laplacian())
     same = (
@@ -474,12 +478,11 @@ def _check_spectral_reads(g: Graph):
             sides += [(fast, slow), (float(not np.array_equal(fast, fast.T)), 0.0)]
         sides += [(harmonic.kharmonic_distance(g, k, s, t, dec), np.sqrt(D2[s, t])) for s, t in pairs]
         sides.append((harmonic.edge_kharmonic_sq(g, k, dec).values, D2[g._u, g._v]))
-        sides.append((flow.generalized_flow_matrix(g, k, dec), g.weighted_boundary().T @ M))
-    M = spectra.pinv_power(dec, 1.0)
-    F = (g.weights[:, None] * g.boundary().T) @ M
-    for s, t in pairs:
-        sides.append((flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
-        sides.append((flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))
+        if k == 1.0:
+            F = _flow_matrix(g, dec, 1.0) * np.sqrt(g.weights)[:, None]
+            for s, t in pairs:
+                sides.append((flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
+                sides.append((flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))
     return _sides(*sides)
 
 
@@ -594,6 +597,8 @@ def run_suite(
         raise GraphError(f"unknown check name(s) {unknown}; known: {sorted(CHECKS)}")
     if trials < 1:
         raise GraphError(f"trials must be at least 1, got {trials}")
+    if n_range[0] < 8:
+        raise GraphError(f"n_min must be at least 8, got {n_range[0]}; smaller graphs fail some checks' preconditions")
     if n_range[0] > n_range[1]:
         raise GraphError(f"n_min {n_range[0]} exceeds n_max {n_range[1]}")
     reports = []

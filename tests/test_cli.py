@@ -196,6 +196,7 @@ def test_validate_subcommand(capsys):
     ["--trials", "0"],
     ["--trials", "-3"],
     ["--n-min", "50", "--n-max", "20"],
+    ["--n-min", "5", "--n-max", "6"],
 ])
 def test_validate_rejects_bad_suite_sizes(capsys, argv):
     code = main(["validate", "--suite", "foster", *argv])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,40 @@ def test_min_norm_certificate():
 
 
 def test_squared_flow_matches_closed_form():
-    # the library reads n w_e B_e^2; the pair sum over the generalized flow
+    # the library reads n w_e B_e^2; the pair sum over the slow-route flow
     # matrix is the identity's other side
     g = random_weighted(12, 0.5, seed=6)
-    pair_sums = validate._pair_sums(flow.generalized_flow_matrix(g, 1.0), np.square)
+    pair_sums = validate._pair_sums(validate._flow_matrix(g, harmonic.decomposition(g), 1.0), np.square)
     assert np.allclose(squared_flow_centrality(g).values, pair_sums, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("make", [
+    lambda: random_weighted(13, 0.5, seed=4),
+    lambda: generators.sbm([8, 9], 0.6, 0.1, seed=2)[0],
+    lambda: generators.path(7),
+], ids=["weighted13", "sbm17", "path7"])
+def test_current_flow_block_boundaries(monkeypatch, make, rows):
+    # blocks of 1, 2 or 5 edges; at 5 each graph here ends on a short block
+    g = make()
+    monkeypatch.setattr(spectra, "_BLOCK_ELEMENTS", rows * g.n)
+    G = validate._flow_matrix(g, harmonic.decomposition(g), 1.0) * np.sqrt(g.weights)[:, None]
+    expect = validate._pair_sums(G, np.abs)
+    assert np.allclose(current_flow_centrality(g).values, expect, rtol=1e-12, atol=0)
+
+
+def test_current_flow_memory_stays_near_pinv():
+    # beside L^+ (n^2 floats) and the embedding it is formed from, only
+    # blocks of edges are held: no m x n array (here m is about 5 n)
+    g = generators.erdos_renyi(600, 10 / 600, seed=0)
+    dec = harmonic.decomposition(g)
+    tracemalloc.start()
+    try:
+        current_flow_centrality(g, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g.n**2 * 8
 
 
 def test_flow_centralities_sum_st_flows():

@@ -190,7 +190,6 @@ def test_reads_build_no_full_matrix(monkeypatch):
         flow.edge_measure(g, measure)
     flow.st_potential(g, 0, 5)
     flow.st_flow(g, 0, 5)
-    flow.generalized_flow_matrix(g, 2.5)
     flow.squared_flow_centrality(g)
     flow.current_flow_centrality(g)
     for measure in ("biharmonic2", "kharmonic2"):
@@ -208,7 +207,7 @@ def test_decomposition_of_another_graph_is_rejected():
             lambda: edge_kharmonic_sq(g, 2.0, dec),
             lambda: kharmonic_sq_matrix(g, 1.0, dec),
             lambda: flow.st_potential(g, 1, 2, dec),
-            lambda: flow.generalized_flow_matrix(g, 1.0, dec),
+            lambda: flow.current_flow_centrality(g, dec),
             lambda: cluster.kharmonic_kmeans(g, 2, 2.0, 0, dec),
         )
         for call in calls:
