@@ -299,14 +299,7 @@ def cmd_generate(args):
         if labels is None:
             raise UsageError(f"model {args.model!r} produces no labels")
         io.save_points_csv(np.zeros((g.n, 0)), args.labels_out, labels=labels)
-    sys.stdout.write(
-        json.dumps(
-            {"meta": _meta(args, "generate"), "n": g.n, "m": g.m},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    _write_json(sys.stdout, {"meta": _meta(args, "generate"), "n": g.n, "m": g.m}, None, None)
 
 
 def cmd_validate(args):

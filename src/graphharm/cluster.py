@@ -79,7 +79,9 @@ def _sq_distances(pts, sq, centroids) -> np.ndarray:
 
 
 def kmeans(points, c: int, seed: int):
-    """Lloyd's algorithm; returns (Clustering, final inertia)."""
+    """Lloyd's algorithm; returns (Clustering, final inertia).  Points far
+    from the origin, compared with their spread, lose digits to the expansion
+    |x|^2 - 2 x.c + |c|^2 (`_sq_distances`); the library's embeddings are centred."""
     assign, inertia = None, float("inf")
     for assign, inertia in lloyd_iterations(points, c, seed):
         pass
@@ -133,8 +135,8 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
       divide by a near-zero, and every deletion under `betweenness` or a
       fractional k.
 
-    Ties, within 1e-12 relative (`top_edge`), break toward the lowest
-    edge index, so the algorithm is deterministic.
+    `top_edge` (`harmonic.top_of_ties`) deletes the lowest edge index in the
+    top tie group of `harmonic.tie_groups`, so the run is deterministic.
     `validate._girvan_newman_reference` is the loop that rebuilds the
     graph and re-decomposes after every deletion.
     """
@@ -200,14 +202,7 @@ def _delete_edge(pinv, a, b, w) -> bool:
     return True
 
 
-def top_edge(scores: np.ndarray) -> int:
-    """Position of the first score within 1e-12 relative of the maximum.
-
-    Scores equal in exact arithmetic (symmetric edges) differ by rounding
-    that depends on the route that computed them, so a tie is taken up
-    to that rounding and goes to the lowest index.
-    """
-    return int(np.argmax(scores >= scores.max() * (1.0 - 1e-12)))
+top_edge = harmonic.top_of_ties  # the position Girvan-Newman deletes
 
 
 def sweep_cut(g: Graph, x) -> Cut:

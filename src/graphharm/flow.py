@@ -163,7 +163,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
 
 
 def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
-    """Spearman rank correlation, with average ranks for ties up to rounding (`_average_ranks`)."""
+    """Spearman rank correlation, with average ranks per tie group (`harmonic.tie_groups`)."""
     a, b = scores_a.values, scores_b.values
     if len(a) != len(b):
         raise GraphError(f"edge sets differ in size ({len(a)} vs {len(b)})")
@@ -175,21 +175,12 @@ def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; each tie group gets the mean of its positions.
-
-    A new group starts only at a sorted gap above 1e-12 * max|x|: scores
-    equal in exact arithmetic differ by route-dependent rounding.
-    """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    first = np.concatenate(([True], np.diff(xs) > 1e-12 * np.max(np.abs(xs))))
-    starts = np.flatnonzero(first)
-    if len(starts) == 1:
+    """1-based ranks; each tie group (`harmonic.tie_groups`) gets the mean of its positions."""
+    groups = harmonic.tie_groups(x)
+    counts = np.bincount(groups)
+    if len(counts) == 1:
         raise GraphError("degenerate ranking: all scores tied")
-    ends = np.append(starts[1:], len(x))
-    ranks = np.empty(len(x))
-    ranks[order] = ((starts + ends + 1) / 2)[np.cumsum(first) - 1]
-    return ranks
+    return (np.cumsum(counts) - (counts - 1) / 2)[groups]
 
 
 MEASURES = ("resistance", "biharmonic2", "kharmonic2", "current-flow", "betweenness")

@@ -21,41 +21,62 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .graph import Graph, GraphError, require_connected, require_vertex
+from .graph import Graph, GraphError, _labels, require_connected, require_vertex
+
+_TIE_RTOL = 1e-12  # a sorted gap above this times max|x| starts a new tie group
+
+
+def tie_groups(x: np.ndarray) -> np.ndarray:
+    """Each score's tie group, 0.. ascending with the score; a new group starts only at a
+    sorted gap above 1e-12 * max|x|, as scores equal in exact arithmetic differ by rounding
+    that varies with the route and the BLAS thread count.  The library's one tie rule."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    groups = np.empty_like(order)
+    groups[order] = np.cumsum(np.diff(xs, prepend=xs[:1]) > _TIE_RTOL * np.max(np.abs(xs), initial=0.0))
+    return groups
+
+
+def top_of_ties(x: np.ndarray) -> int:
+    """Lowest position in the top tie group of nonnegative x.  That group lies within
+    len(x) gaps of 1e-12 * max(x) below the maximum, so only that window is grouped."""
+    near = np.flatnonzero(x >= x.max() * (1.0 - len(x) * _TIE_RTOL))
+    if len(near) == 1:
+        return int(near[0])
+    return int(near[np.argmax(tie_groups(x[near]))])  # argmax: the first of the top group
 
 
 @dataclass(frozen=True)
 class EdgeScores:
-    """Per-edge scores with a canonical ranking.
-
-    Ranking is by descending score, ties broken by ascending edge index.
-    """
+    """Per-edge scores, ranked by descending tie group (`tie_groups`), then ascending edge index."""
 
     values: np.ndarray
     meaning: str
 
     @property
     def ranking(self) -> np.ndarray:
-        # lexsort: last key is primary
-        return np.lexsort((np.arange(len(self.values)), -self.values))
+        return np.argsort(-tie_groups(self.values), kind="stable")
 
     @property
     def ranks(self) -> np.ndarray:
         """Position of each edge in the ranking (0 = highest score)."""
-        ranking = self.ranking
-        ranks = np.empty(len(ranking), dtype=np.int64)
-        ranks[ranking] = np.arange(len(ranking))
-        return ranks
+        return np.argsort(self.ranking)
 
 
 def decomposition(g: Graph) -> spectra.SpectralDecomposition:
     """The eigendecomposition of g's Laplacian, computed once per Graph.
 
     It is kept on g (n^2 floats) and freed with it; its arrays are
-    read-only, so every caller can share it.
+    read-only, so every caller can share it.  A kernel larger than the
+    component count (the weight spread hid an eigenvalue) is a SpectraError.
     """
     if g._decomposition is None:
-        object.__setattr__(g, "_decomposition", spectra.decompose(g.laplacian()))
+        dec = spectra.decompose(g.laplacian())
+        components = int(np.count_nonzero(_labels(g) == np.arange(g.n)))
+        if dec.kernel_dim != components:
+            raise spectra.SpectraError(f"unresolved spectrum: kernel dimension {dec.kernel_dim} for {components} "
+                                       f"connected component(s); edge weight ratio {g._w.max() / g._w.min():.3g}")
+        object.__setattr__(g, "_decomposition", dec)
     return g._decomposition
 
 

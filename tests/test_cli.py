@@ -10,6 +10,7 @@ import pytest
 import graphharm
 from graphharm import generators, io
 from graphharm.cli import main
+from graphharm.graph import build_graph
 
 
 @pytest.fixture
@@ -219,6 +220,35 @@ def test_meta_records_the_requested_thread_cap(tmp_path):
         metas.append(json.loads(proc.stdout)["meta"])
     assert [m["threads"] for m in metas] == ["1", "default"]
     assert metas[0]["blas"] == metas[1]["blas"] and metas[0]["blas"]["name"]
+
+
+def test_centrality_ranks_do_not_depend_on_the_thread_count(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(graphharm.__file__).resolve().parent.parent)
+    cycle = build_graph(400, [(i, (i + 1) % 400) for i in range(400)])
+    for name, g, measure in (("tree", generators.balanced_tree(3, 5), "biharmonic2"), ("cycle", cycle, "current-flow")):
+        io.save_edge_list(g, tmp_path / f"{name}.txt")
+        tables = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphharm.cli", "centrality", "--graph", f"{name}.txt",
+                 "--measure", measure, "--out", "csv"],
+                capture_output=True, text=True, cwd=tmp_path, env={**env, "GRAPHHARM_THREADS": threads}, check=True,
+            )
+            assert proc.stdout.startswith("index,u,v,score,rank\n")
+            tables.append(np.loadtxt(proc.stdout.splitlines()[1:], delimiter=","))
+        one, two = tables
+        assert np.array_equal(one[:, [0, 1, 2, 4]], two[:, [0, 1, 2, 4]]), name
+        assert np.max(np.abs(one[:, 3] - two[:, 3])) <= 1e-11 * np.max(np.abs(one[:, 3])), name
+
+
+def test_unresolved_spectrum_is_usage_error(tmp_path, capsys):
+    # a triangle with a pendant edge of weight 1e200
+    path = tmp_path / "pendant.txt"
+    path.write_text("0 1\n1 2\n0 2\n2 3 1e200\n")
+    code = main(["centrality", "--graph", str(path), "--measure", "resistance"])
+    assert code == 4
+    assert "unresolved spectrum: kernel dimension 3 for 1 connected" in capsys.readouterr().err
 
 
 # exit codes -----------------------------------------------------------------

@@ -260,6 +260,17 @@ def test_spearman_matches_count_based_ranks():
         )
 
 
+@pytest.mark.parametrize("measure", ["resistance", "biharmonic2", "current-flow"])
+@pytest.mark.parametrize("g", [
+    generators.complete(12),
+    build_graph(20, [(i, (i + 1) % 20) for i in range(20)]),
+    generators.star(10),
+], ids=["complete12", "cycle20", "star10"])
+def test_edges_tied_in_exact_arithmetic_rank_in_index_order(g, measure):
+    # every edge is symmetric to every other; rounding must not order them
+    assert edge_measure(g, measure).ranks.tolist() == list(range(g.m))
+
+
 def test_edge_measure_dispatch():
     g = generators.erdos_renyi(10, 0.5, seed=5)
     for name in flow.MEASURES:

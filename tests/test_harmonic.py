@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphharm import cluster, flow, generators, harmonic, spectra, validate
-from graphharm.graph import GraphError
+from graphharm.graph import GraphError, build_graph
 from graphharm.harmonic import (
     EdgeScores,
     biharmonic_distance,
@@ -133,6 +133,34 @@ def test_ranking_breaks_ties_by_index():
     s = EdgeScores(np.array([1.0, 3.0, 1.0, 3.0]), "test")
     assert list(s.ranking) == [1, 3, 0, 2]
     assert list(s.ranks) == [2, 0, 3, 1]
+
+
+def test_tie_groups_chain_gaps_up_to_rounding():
+    x = np.array([3.0, 1.0, 3.0 - 1e-15, 2.0, 3.0 - 2e-15])
+    assert harmonic.tie_groups(x).tolist() == [2, 0, 2, 1, 2]
+    assert harmonic.tie_groups(np.array([1.0, 1.0 + 1e-9])).tolist() == [0, 1]
+    assert harmonic.tie_groups(np.zeros(0)).tolist() == []
+
+
+def test_top_of_ties_is_the_first_index_of_the_top_tie_group():
+    chain = 3.0 - 0.9e-12 * 3.0 * np.arange(4, -1, -1)  # gaps just under the tolerance
+    assert harmonic.top_of_ties(np.concatenate(([1.0], chain, [2.0]))) == 1
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        x = rng.integers(0, 4, 30) * (1.0 + rng.choice([0.0, 1e-13, 1e-11], 30))
+        groups = harmonic.tie_groups(x)
+        assert harmonic.top_of_ties(x) == np.flatnonzero(groups == groups.max())[0]
+
+
+def _bowtie(w):
+    # two triangles sharing vertex 2, edge (2, 4) of weight w
+    return build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4, w)])
+
+
+def test_unresolved_spectrum_names_both_counts_and_the_weight_ratio():
+    with pytest.raises(spectra.SpectraError, match=r"kernel dimension 2 for 1 connected .* ratio 1e\+13"):
+        harmonic.decomposition(_bowtie(1e13))
+    assert np.all(np.isfinite(biharmonic_edge_sq(_bowtie(1e12)).values))
 
 
 @settings(max_examples=25, deadline=None)
