@@ -52,6 +52,17 @@ def _comma_list(cast):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type for a seed; numpy's generators take no negative one."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(text)
+    return seed
+
+
+_seed.__name__ = "nonnegative int"  # argparse names the type in its message
+
+
 def _digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--added", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common_output(p)
     p.set_defaults(func=cmd_resilience)
 
@@ -369,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=_comma_list(int), help="comma list of seeds; emits mean purity and 95%% CI")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seeds", type=_comma_list(_seed), help="comma list of seeds; emits mean purity and 95%% CI")
     p.add_argument("--labels", help="CSV with a label column for purity")
     p.add_argument("--k-grid", dest="k_grid", type=_comma_list(float), help="comma list of k values to sweep")
     p.add_argument("--plot", help="write purity-vs-k CSV here (with --k-grid)")
@@ -388,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int)
     p.add_argument("--points", help="points CSV for the knn model")
     p.add_argument("--knn", type=int, help="neighbor count k for the knn model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, dest="output", help="edge-list output path")
     p.add_argument("--labels-out", dest="labels_out")
     p.set_defaults(func=cmd_generate)
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the numerical certification suite")
     p.add_argument("--suite", default="all", help="comma list of checks, or 'all'")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-min", dest="n_min", type=int, default=10)
     p.add_argument("--n-max", dest="n_max", type=int, default=60)
     p.add_argument("--json", action="store_true")

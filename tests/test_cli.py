@@ -417,3 +417,53 @@ def test_unrepresentable_power_is_usage_error(tmp_path, capsys):
     code = main(["distances", "--graph", str(path), "--k", "80", "--pairs", "0:399"])
     assert code == 4
     assert "overflows at k=80" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["inf", "nan"])
+def test_non_finite_power_is_usage_error(tmp_path, capsys, k):
+    path = tmp_path / "k5.txt"
+    io.save_edge_list(generators.complete(5), path)
+    code = main(["distances", "--graph", str(path), "--k", k, "--pairs", "0:1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert f"k must be finite, got k={k}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["distances", "--k", "1"],
+    ["centrality", "--measure", "resistance"],
+    ["centrality", "--measure", "current-flow"],
+    ["cluster", "--algo", "kmeans", "--clusters", "2"],
+    ["resilience", "--measure", "resistance", "--added", "1"],
+])
+def test_empty_graph_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    code = main(argv + ["--graph", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert "nonempty square matrix, got shape (0, 0)" in captured.err
+
+
+def test_empty_graph_betweenness_is_an_empty_table(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    code, out = _run(capsys, ["centrality", "--measure", "betweenness", "--graph", str(path)])
+    assert code == 0 and json.loads(out)["edges"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--suite", "foster", "--seed", "-1"],
+    ["generate", "--model", "erdos_renyi", "--n", "5", "--p", "0.5", "--seed", "-1"],
+    ["resilience", "--measure", "resistance", "--added", "1", "--seed", "-1"],
+    ["cluster", "--algo", "kmeans", "--clusters", "2", "--seed", "-1"],
+    ["cluster", "--algo", "kmeans", "--clusters", "2", "--seeds", "1,-1"],
+])
+def test_negative_seed_is_usage_error(graph_file, tmp_path, capsys, argv):
+    path, _ = graph_file
+    where = {"validate": [], "generate": ["--out", str(tmp_path / "x.txt")]}.get(argv[0], ["--graph", path])
+    code = main(argv + where)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert "nonnegative int value" in captured.err
+    assert not (tmp_path / "x.txt").exists()

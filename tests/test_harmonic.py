@@ -245,8 +245,10 @@ def test_decomposition_of_another_graph_is_rejected():
 
 @pytest.mark.parametrize("k", [80.0, float("nan")])
 def test_unrepresentable_power_raises_without_warning(k):
-    # on path(400), lambda_2 ~ 6e-5, so lambda_2^-80 ~ 1e336 overflows float64
+    # on path(400), lambda_2 ~ 6e-5, so lambda_2^-80 ~ 1e336 overflows float64;
+    # a NaN k is refused before any power is taken
     g = generators.path(400)
+    message = "overflows at k=80" if np.isfinite(k) else "k must be finite, got k=nan"
     calls = (
         lambda: harmonic.kharmonic_distance(g, k, 0, 399),
         lambda: edge_kharmonic_sq(g, k),
@@ -255,5 +257,5 @@ def test_unrepresentable_power_raises_without_warning(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
-            with pytest.raises(spectra.SpectraError, match="overflows at k="):
+            with pytest.raises(spectra.SpectraError, match=message):
                 call()

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from graphharm import generators, harmonic, spectra, validate
+from graphharm import cluster, flow, generators, harmonic, spectra, validate
 from graphharm.cli import main
-from graphharm.graph import GraphError
+from graphharm.graph import GraphError, cut_from_side
 from graphharm.validate import brute_force_distance, run_suite, sample_graph
 
 
@@ -32,7 +33,7 @@ def test_sample_graph_is_deterministic():
 
 
 def test_run_suite_small_config_passes():
-    names = ["foster", "potentials", "flows", "sweep_cut", "spectral_reads", "betweenness", "pinv_updates"]
+    names = ["foster", "potentials", "sweep_separation", "spectral_reads", "betweenness", "pinv_updates"]
     reports = run_suite(names, n_range=(8, 16), trials=5, seed=1)
     assert [r.name for r in reports] == names
     assert all(r.passed for r in reports)
@@ -115,24 +116,16 @@ UNWEIGHTED = ("er", "tree", "sbm")
 # name -> (threshold, families, max_n): the certified surface
 CHECK_TABLE = {
     "foster": (1e-8, ALL, None),
-    "biharmonic_foster": (1e-8, ALL, None),
-    "kharmonic_foster": (1e-7, ALL, None),
     "down_laplacian": (1e-8, ALL, 60),
     "flow_identity": (1e-8, ALL, 30),
-    "flow_edge_sums": (1e-7, ALL, 15),
-    "flow_pair_sums": (1e-7, ALL, 15),
     "cut_edge": (1e-9, ("tree", "sbm", "er"), None),
-    "cut_edge_resistance": (1e-9, ("tree",), None),
     "sparse_cut": (1e-8, UNWEIGHTED, 40),
     "sweep_separation": (0.0, UNWEIGHTED, 30),
-    "sweep_cut": (0.0, UNWEIGHTED, 30),
     "derivative": (1e-5, ("er_weighted", "tree_weighted"), 40),
     "deletion": (1e-8, ("er",), 20),
     "bounds": (1e-12, UNWEIGHTED, 60),
     "tightness": (1e-9, ("er",), 10),
     "potentials": (1e-8, ALL, None),
-    "flows": (1e-8, ALL, None),
-    "cut_flow": (1e-8, UNWEIGHTED, 40),
     "betweenness": (1e-12, ALL, 20),
     "oracle": (1e-6, ALL, 25),
     "spectral_reads": (1e-10, ALL, 30),
@@ -149,3 +142,52 @@ def test_default_run_suite_passes_every_check():
     reports = run_suite()
     assert [r.name for r in reports] == sorted(CHECK_TABLE)
     assert [r.name for r in reports if not r.passed] == []
+
+
+def _bumped(original, at_k=None):
+    """`original` with its output scaled by 1 + 1e-6, or only at k = at_k."""
+    def bumped(g, *args):
+        out = original(g, *args)
+        if at_k is not None and args[0] != at_k:
+            return out
+        return dataclasses.replace(out, values=out.values * (1 + 1e-6)) if hasattr(out, "values") else out * (1 + 1e-6)
+    return bumped
+
+
+def _worst_level(original):
+    """A sweep cut at the level of largest ratio instead of smallest."""
+    def worst(g, x):
+        x = cluster._sweep_levels(g, x)
+        return max((cut_from_side(g, np.flatnonzero(x >= t)) for t in np.unique(x)[1:]), key=lambda cut: cut.ratio)
+    return worst
+
+
+def _no_crossing(original):
+    """A cut that reports no crossing edge."""
+    return lambda g, side: dataclasses.replace(original(g, side), crossing_edges=())
+
+
+# a comparison that the merge moved -> (module, route, wrapper, the check that now makes it)
+MOVED = {
+    "biharmonic_foster": (harmonic, "total_resistance", _bumped, "foster"),
+    "kharmonic_foster": (harmonic, "kharmonic_sq_matrix", _bumped, "foster"),
+    "flow_identity": (flow, "current_flow_centrality", _bumped, "flow_identity"),
+    "flow_edge_sums": (harmonic, "edge_kharmonic_sq", lambda f: _bumped(f, at_k=1.0), "flow_identity"),
+    "flow_pair_sums": (harmonic, "kharmonic_sq_matrix", _bumped, "flow_identity"),
+    "cut_edge_resistance": (harmonic, "edge_kharmonic_sq", lambda f: _bumped(f, at_k=1.0), "cut_edge"),
+    "flows": (flow, "st_flow", _bumped, "potentials"),
+    "cut_flow": (validate, "cut_from_side", _no_crossing, "potentials"),
+    "sweep_cut": (cluster, "sweep_cut", _worst_level, "sweep_separation"),
+}
+
+
+@pytest.mark.parametrize("moved", sorted(MOVED))
+def test_merged_check_keeps_the_comparison(monkeypatch, moved):
+    # a route that only the moved comparison reads, perturbed, fails the
+    # check that now holds it
+    module, route, wrap, check = MOVED[moved]
+    (report,) = run_suite([check], n_range=(10, 16), trials=5)
+    assert report.passed
+    monkeypatch.setattr(module, route, wrap(getattr(module, route)))
+    (report,) = run_suite([check], n_range=(10, 16), trials=5)
+    assert not report.passed
