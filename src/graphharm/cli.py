@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, _threads, cluster, flow, generators, harmonic, io, spectra, validate
 from .generators import GenerationError
-from .graph import DisconnectedGraphError, Graph, GraphError
+from .graph import DisconnectedGraphError, Graph, GraphError, require_seed
 from .io import ParseError
 from .spectra import SpectraError
 
@@ -53,11 +53,8 @@ def _comma_list(cast):
 
 
 def _seed(text: str) -> int:
-    """argparse type for a seed; numpy's generators take no negative one."""
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(text)
-    return seed
+    """argparse type for a seed (`graph.require_seed`; its GraphError is a ValueError)."""
+    return require_seed(int(text))
 
 
 _seed.__name__ = "nonnegative int"  # argparse names the type in its message
@@ -175,7 +172,7 @@ def cmd_distances(args):
     s, t = _parse_pairs(args.pairs, g)
     dec = harmonic._connected_dec(g)
     if args.pairs == "all":
-        sq = harmonic._sq_matrix(spectra.embedding(dec, args.k, args.rank))[s, t]
+        sq = harmonic._sq_matrix(dec, args.k, args.rank)[s, t]
     else:
         sq = spectra.embedding_sq_distances(dec, args.k, s, t, args.rank)
     payload = {"meta": _meta(args, "distances", {"k": args.k, "rank": args.rank})}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, harmonic, spectra
-from .graph import Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side
+from .graph import Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side, require_seed
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def lloyd_iterations(points, c, seed):
         raise GraphError(f"cannot form c={c} clusters from {n} points")
     if c < 1 or d == 0:
         raise GraphError("need c >= 1 clusters and at least one coordinate")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = _sq_distances(pts, sq, pts[rng.choice(n, size=c, replace=False)])
     rows = np.arange(n)

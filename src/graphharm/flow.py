@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, spectra
-from .graph import Graph, GraphError, csr_adjacency, require_connected, require_vertex
+from .graph import Graph, GraphError, csr_adjacency, require_connected, require_seed, require_vertex
 from .harmonic import EdgeScores
 
 
@@ -259,7 +259,7 @@ def resilience_experiment(
     pool = _non_edges(g)
     out = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+        rng = np.random.default_rng([require_seed(seed), trial])
         extra = _sample_non_edges(pool, num_added, rng)
         if order:
             s, t, w = (np.array(col) for col in zip(*extra))

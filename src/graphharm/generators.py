@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph, is_connected
+from .graph import Graph, GraphError, build_graph, is_connected, require_seed
 
 MAX_CONNECT_ATTEMPTS = 100
 
@@ -65,7 +65,7 @@ def _connected_blocks(labels: np.ndarray, p_in: float, p_out: float, seed: int, 
     """
     n = len(labels)
     for attempt in range(MAX_CONNECT_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
+        rng = np.random.default_rng([require_seed(seed), attempt])
         edges = []
         for u in range(n - 1):
             p = np.where(labels[u + 1:] == labels[u], p_in, p_out)

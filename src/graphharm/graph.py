@@ -109,9 +109,11 @@ class Graph:
         return d
 
     def laplacian(self) -> np.ndarray:
-        """L = D - A, equivalently boundary @ W @ boundary.T."""
-        A = self.adjacency()
-        return np.diag(A.sum(axis=1)) - A
+        """L = D - A, equivalently boundary @ W @ boundary.T, in one n x n array."""
+        L = np.zeros((self.n, self.n))
+        L[self._u, self._v] = L[self._v, self._u] = -self._w
+        np.fill_diagonal(L, 0.0 - L.sum(axis=1))  # D bit for bit: +0.0, not -0.0, when isolated
+        return L
 
     def boundary(self) -> np.ndarray:
         """Signed incidence matrix: column e is +1 at u, -1 at v."""
@@ -219,6 +221,13 @@ def require_vertex(g: Graph, v) -> int:
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or not 0 <= v < g.n:
         raise GraphError(f"vertex {v!r} is not an integer in 0..{g.n - 1}")
     return int(v)
+
+
+def require_seed(seed) -> int:
+    """seed as a Python int, if it is a nonnegative integer, the seeds the library's generators take."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GraphError(f"seed {seed!r} is not a nonnegative integer")
+    return int(seed)
 
 
 def csr_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

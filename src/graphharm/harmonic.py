@@ -88,15 +88,17 @@ def _connected_dec(g: Graph, dec=None) -> spectra.SpectralDecomposition:
     return decomposition(g)
 
 
-def _sq_matrix(Y: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of Y, exactly symmetric.
+def _sq_matrix(dec: spectra.SpectralDecomposition, k: float, r: int | None = None) -> np.ndarray:
+    """Squared distances between the rows of Y = embedding(dec, k, r), exactly symmetric.
 
     numpy computes Y @ Y.T as a symmetric rank-r update; d_i + d_j - 2 M_ij
     is then evaluated in that order, which keeps the result symmetric too.
     It overwrites M in row blocks, so no second n x n matrix is formed.
     """
-    M = Y @ Y.T
-    del Y  # lowers the peak by n*r floats; the caller passes a temporary
+    M = np.empty((dec.n, dec.n))  # before Y: the next n x n array reuses the memory Y frees
+    Y = spectra.embedding(dec, k, r)
+    np.matmul(Y, Y.T, out=M)
+    del Y  # lowers the peak by n*r floats
     d = M.diagonal().copy()
     step = max(1, spectra._BLOCK_ELEMENTS // len(d))
     for lo in range(0, len(d), step):
@@ -107,7 +109,7 @@ def _sq_matrix(Y: np.ndarray) -> np.ndarray:
 
 def kharmonic_sq_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
     """Symmetric matrix of squared k-harmonic distances (H^k)^2."""
-    return _sq_matrix(spectra.embedding(_connected_dec(g, dec), k))
+    return _sq_matrix(_connected_dec(g, dec), k)
 
 
 def kharmonic_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
@@ -126,7 +128,7 @@ def kharmonic_distance(g: Graph, k: float, s: int, t: int, dec=None) -> float:
 
 def kharmonic_rank_sq_matrix(g: Graph, k: float, r: int, dec=None) -> np.ndarray:
     """Squared rank-r k-harmonic distances (H^{k,r})^2."""
-    return _sq_matrix(spectra.embedding(_connected_dec(g, dec), k, r))
+    return _sq_matrix(_connected_dec(g, dec), k, r)
 
 
 def effective_resistance(g: Graph, s: int, t: int, dec=None) -> float:

@@ -48,7 +48,7 @@ class SpectralDecomposition:
         return self.eigenvectors[:, self.kernel_dim:]
 
 
-# Floats in one block read by decompose's sign convention, embedding_sq_distances,
+# Floats in one block read by decompose's checks and signs, embedding_sq_distances,
 # harmonic._sq_matrix or flow.current_flow_centrality: small temporaries at any n.
 _BLOCK_ELEMENTS = 2**15
 
@@ -57,15 +57,23 @@ def decompose(L: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a nonempty symmetric PSD matrix with kernel detection.
 
     Eigenvalues below zero_tol = 64 eps n max(lambda_max, 1) are the
-    kernel; one below -zero_tol means L is not PSD.
+    kernel; one below -zero_tol means L is not PSD.  An exactly symmetric L
+    (any Laplacian) goes to `eigh` uncopied: 4 n^2 floats beside L at the peak.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
         raise SpectraError(f"expected a nonempty square matrix, got shape {L.shape}")
-    scale = max(np.abs(L).max(), 1.0)
-    if np.abs(L - L.T).max() > 1e-10 * scale:
+    scale, asym, step = 1.0, 0.0, max(1, _BLOCK_ELEMENTS // L.shape[0])
+    for lo in range(0, L.shape[0], step):
+        rows = L[lo:lo + step]
+        peak = np.abs(rows).max()
+        if not np.isfinite(peak):
+            i, j = np.argwhere(~np.isfinite(rows))[0]
+            raise SpectraError(f"matrix entry ({lo + i}, {j}) is not finite: {rows[i, j]}")
+        scale, asym = max(scale, peak), max(asym, np.abs(rows - L[:, lo:lo + step].T).max())
+    if asym > 1e-10 * scale:
         raise SpectraError("matrix is not symmetric")
-    lam, X = np.linalg.eigh((L + L.T) / 2.0)
+    lam, X = np.linalg.eigh(L if asym == 0.0 else (L + L.T) / 2.0)
     zero_tol = L.shape[0] * max(float(lam[-1]), 1.0) * np.finfo(np.float64).eps * 64
     if lam[0] < -zero_tol:
         raise SpectraError(f"matrix is not positive semidefinite (lambda_min={lam[0]})")
@@ -75,7 +83,6 @@ def decompose(L: np.ndarray) -> SpectralDecomposition:
     # sign convention: largest-magnitude entry positive, ties by lowest index;
     # |X| is read in column blocks, so no n x n temporary is formed
     signs = np.ones(X.shape[1])
-    step = max(1, _BLOCK_ELEMENTS // max(X.shape[0], 1))
     for lo in range(0, X.shape[1], step):
         block = X[:, lo:lo + step]
         top = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]

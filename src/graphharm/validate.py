@@ -15,7 +15,7 @@ import numpy as np
 from . import cluster, flow, generators, harmonic, spectra
 from .graph import (
     Cut, Graph, GraphError, bridges, build_graph, component_labels, connected_subgraph, cut_from_side,
-    require_connected,
+    require_connected, require_seed,
 )
 
 
@@ -103,7 +103,7 @@ def _graphs(trials, n_lo, n_hi, seed, families, max_n, built):
     out = []
     for i in range(trials):
         family = families[i % len(families)]
-        rng = np.random.default_rng([seed, i])
+        rng = np.random.default_rng([require_seed(seed), i])
         key = (family, int(rng.integers(n_lo, n_hi + 1)), seed * 1000 + i)
         if key not in built:
             built[key] = sample_graph(*key)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphharm import generators, harmonic
+from graphharm import cluster, flow, generators, harmonic, validate
 from graphharm.graph import (
     DisconnectedGraphError,
     EdgeError,
@@ -183,6 +185,45 @@ def test_laplacian_matches_boundary_factorization():
 def test_laplacian_rows_sum_to_zero():
     g = generators.complete(5)
     assert np.allclose(g.laplacian().sum(axis=1), 0.0)
+
+
+@pytest.mark.parametrize("weights", ["unit", "uniform", "log-uniform"])
+def test_laplacian_is_degree_minus_adjacency_bit_for_bit(weights):
+    g = generators.erdos_renyi(80, 0.1, seed=4)
+    rng = np.random.default_rng(7)
+    w = {"unit": np.ones(g.m), "uniform": rng.uniform(0.1, 10.0, g.m),
+         "log-uniform": np.exp(rng.uniform(-8.0, 8.0, g.m))}[weights]
+    # vertex 80 is isolated: its diagonal must be +0.0, as D - A gives
+    g = Graph(g.n + 1, tuple((u, v, float(x)) for (u, v, _), x in zip(g.edges, w)))
+    A = g.adjacency()
+    expect = np.diag(A.sum(axis=1)) - A
+    L = g.laplacian()
+    assert np.array_equal(L, expect) and np.array_equal(np.signbit(L), np.signbit(expect))
+
+
+def test_laplacian_memory_is_one_matrix():
+    """At most 1.1 n^2 floats, as tracemalloc sees numpy's arrays: L itself."""
+    g = generators.erdos_renyi(600, 0.02, 2)
+    tracemalloc.start()
+    try:
+        g.laplacian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * g.n**2 * 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generators.erdos_renyi(5, 0.5, -1),
+    lambda: generators.sbm([3, 3], 0.5, 0.1, -2),
+    lambda: cluster.kmeans([[0.0], [1.0], [2.0]], 2, -1),
+    lambda: validate.run_suite(["foster"], seed=-1, trials=1),
+    lambda: flow.resilience_experiment(generators.path(6), "resistance", 1, 1, -1),
+    lambda: generators.erdos_renyi(5, 0.5, 1.5),
+], ids=["erdos_renyi", "sbm", "kmeans", "run_suite", "resilience", "float"])
+def test_seed_must_be_a_nonnegative_integer(call):
+    with pytest.raises(GraphError, match="seed .* is not a nonnegative integer"):
+        call()
 
 
 def test_degrees_and_adjacency(p3):

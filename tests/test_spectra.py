@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,42 @@ def test_decompose_rejects_asymmetric():
         decompose(M)
 
 
+@pytest.mark.parametrize("M, entry", [
+    ([[np.nan, 0.0], [0.0, 1.0]], r"\(0, 0\) is not finite: nan"),
+    ([[1.0, np.nan], [np.nan, 1.0]], r"\(0, 1\) is not finite: nan"),
+    ([[np.inf, -1.0], [-1.0, 1.0]], r"\(0, 0\) is not finite: inf"),
+])
+def test_decompose_rejects_non_finite(M, entry):
+    with pytest.raises(SpectraError, match=entry):
+        decompose(np.array(M))
+
+
+def test_decompose_names_the_first_non_finite_entry_past_the_first_block(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK_ELEMENTS", 20)  # blocks of 2 rows
+    L = _lap()
+    L[7, 2] = L[2, 7] = L[9, 9] = np.inf
+    with pytest.raises(SpectraError, match=r"\(2, 7\) is not finite: inf"):
+        decompose(L)
+
+
+def test_decompose_memory_beside_its_input():
+    """At most 1.3 n^2 floats beside L, as tracemalloc sees them.
+
+    numpy's own arrays (eigh's eigenvalues and eigenvectors, the check's
+    row blocks) are visible to tracemalloc; eigh's internal copy of L and
+    its LAPACK workspace are malloc'd inside numpy's linalg module, outside
+    Python's tracing, and are not counted.
+    """
+    L = generators.erdos_renyi(600, 0.02, 2).laplacian()
+    tracemalloc.start()
+    try:
+        decompose(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * L.size * 8
+
+
 def _signs_by_column(X):
     X = X.copy()
     for i in range(X.shape[1]):
@@ -69,6 +107,20 @@ def test_sign_convention_is_deterministic():
         # the same bits as flipping column by column, signs of zeros included
         expect = _signs_by_column(np.linalg.eigh((L + L.T) / 2.0)[1])
         assert np.array_equal(a, expect) and np.array_equal(np.signbit(a), np.signbit(expect))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nearly_symmetric_input_is_averaged(seed):
+    # within the 1e-10 tolerance but not exactly symmetric: eigh gets (L + L^T) / 2
+    L = _lap(n=40, p=0.2, seed=seed)
+    E = np.triu(np.random.default_rng(seed).choice([-1e-13, 1e-13], size=L.shape), 1)
+    M = L + E - E.T
+    assert not np.array_equal(M, M.T)
+    dec = decompose(M)
+    lam, X = np.linalg.eigh((M + M.T) / 2.0)
+    expect = _signs_by_column(X)
+    assert np.array_equal(dec.eigenvalues[dec.kernel_dim:], lam[dec.kernel_dim:])
+    assert np.array_equal(dec.eigenvectors, expect) and np.array_equal(np.signbit(dec.eigenvectors), np.signbit(expect))
 
 
 def test_pinv_power_matches_numpy_pinv():
