@@ -289,19 +289,13 @@ def _cluster_k_sweep(g, args, labels, seeds):
 
 
 def cmd_generate(args):
-    points = None
-    if args.model == "knn" and args.points:
-        points, _ = io.load_points_csv(args.points)
+    points = io.load_points_csv(args.points)[0] if args.model == "knn" and args.points else None
     params = {
         "n": args.n, "p": args.p, "sizes": args.sizes, "p_in": args.p_in, "p_out": args.p_out,
         "branching": args.branching, "depth": args.depth, "points": points, "k": args.knn,
     }
     result = generators.generate(args.model, params, args.seed)
-    labels = None
-    if args.model == "sbm":
-        g, labels = result
-    else:
-        g = result
+    g, labels = result if args.model == "sbm" else (result, None)
     io.save_edge_list(g, args.output)
     if args.labels_out:
         if labels is None:

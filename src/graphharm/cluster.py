@@ -120,11 +120,11 @@ _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0) -> Clustering:
     """Delete the globally maximal edge until >= c components remain.
 
-    Each edge is scored within its connected component.  One loop runs
-    over g's edge arrays and deletes by an alive mask; it builds no graph
-    per deletion.  A deletion changes only the component that held the
-    edge, so only that component is scored again, and a test on its
-    remaining edges (`component_labels`) decides whether it split:
+    Each edge is scored within its connected component, in one loop over g's
+    edge arrays with an alive mask; only a piece scored afresh is built, as a
+    Graph on slices of them (`connected_subgraph`).  A deletion changes only
+    the component that held the edge, so only it is scored again, and a test
+    on its remaining edges (`component_labels`) decides whether it split:
 
     - if it did not, and the scores are read off L^+ or (L^+)^2
       (`flow.pinv_order`), the component's matrices take the rank-one

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph, is_connected, require_seed
+from .graph import Graph, GraphError, is_connected, require_seed
 
 MAX_CONNECT_ATTEMPTS = 100
 
@@ -19,35 +19,29 @@ class GenerationError(GraphError):
     """Raised when a random model cannot produce a valid sample."""
 
 
+def _unweighted(n: int, u, v) -> Graph:  # edge e joins u[e] and v[e] with weight 1
+    return Graph._from_arrays(n, u, v, np.ones(len(u)))
+
+
 def complete(n: int) -> Graph:
-    return build_graph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+    return _unweighted(n, *np.triu_indices(n, 1))
 
 
 def path(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return _unweighted(n, np.arange(n - 1), np.arange(1, n))
 
 
 def star(n: int) -> Graph:
     """Hub vertex 0 joined to vertices 1..n-1."""
-    return build_graph(n, [(0, i, 1.0) for i in range(1, n)])
+    return _unweighted(n, np.zeros(max(n - 1, 0), dtype=np.int64), np.arange(1, n))
 
 
 def balanced_tree(branching: int, depth: int) -> Graph:
-    """Rooted tree where every internal vertex has `branching` children."""
+    """Rooted tree where every internal vertex has `branching` children; v > 0 hangs off (v - 1) // branching."""
     if branching < 1 or depth < 0:
         raise GraphError("balanced_tree requires branching >= 1 and depth >= 0")
-    edges = []
-    frontier = [0]
-    nxt = 1
-    for _ in range(depth):
-        new_frontier = []
-        for p in frontier:
-            for _ in range(branching):
-                edges.append((p, nxt, 1.0))
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    return build_graph(nxt, edges)
+    children = np.arange(1, sum(branching**i for i in range(depth + 1)))
+    return _unweighted(len(children) + 1, (children - 1) // branching, children)
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -66,12 +60,12 @@ def _connected_blocks(labels: np.ndarray, p_in: float, p_out: float, seed: int, 
     n = len(labels)
     for attempt in range(MAX_CONNECT_ATTEMPTS):
         rng = np.random.default_rng([require_seed(seed), attempt])
-        edges = []
+        heads = []  # the v > u that row u joins to u
         for u in range(n - 1):
             p = np.where(labels[u + 1:] == labels[u], p_in, p_out)
-            hits = np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)
-            edges.extend((u, v, 1.0) for v in hits.tolist())
-        g = build_graph(n, edges)
+            heads.append(np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1))
+        tails = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
+        g = _unweighted(n, tails, np.concatenate([np.empty(0, dtype=np.int64), *heads]))
         if is_connected(g):
             return g
     raise GenerationError(f"{what}: no connected sample in {MAX_CONNECT_ATTEMPTS} attempts")
@@ -110,18 +104,18 @@ def knn(points, k: int) -> Graph:
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise GraphError(f"point {bad[0]} has a coordinate that is not finite: {pts[bad[0]].tolist()}")
     if k >= n:
         raise GraphError(f"k={k} must be smaller than the number of points ({n})")
     if k < 1:
         raise GraphError("k must be at least 1")
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
-    keys: set[tuple[int, int]] = set()
-    for u in range(n):
-        order = np.lexsort((np.arange(n), d2[u]))  # distance, then index
-        for v in order[:k]:
-            keys.add((min(u, int(v)), max(u, int(v))))
-    return build_graph(n, [(u, v, 1.0) for u, v in sorted(keys)])
+    joined = np.zeros((n, n), dtype=bool)
+    joined[np.arange(n)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :k]] = True  # distance, then index
+    return _unweighted(n, *np.nonzero(np.triu(joined | joined.T)))  # pairs u <= v, ascending
 
 
 # model -> (required parameters, maker called with their values and the seed)

@@ -7,7 +7,7 @@ edge, and all flow signs are taken relative to the stored orientation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,42 +32,47 @@ class EdgeError(GraphError):
 MAX_VERTICES = 2**31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Graph:
     """Undirected simple graph with positively weighted, ordered edges.
 
-    Vertices are the integers 0..n-1.  ``edges[e] = (u, v, w)`` fixes both
-    the index and the orientation of edge e.  Every Graph is checked when
-    built: n < 0 or n > `MAX_VERTICES` raises `GraphError`; the first edge
-    with an endpoint outside 0..n-1, a self-loop, a weight not finite and
-    > 0, or an earlier edge's unordered pair raises `EdgeError`, naming the
-    first rule it breaks.
+    Vertices are 0..n-1.  Row e = (u, v, w) of ``Graph(n, rows)`` fixes the
+    index and orientation of edge e, kept only in the read-only arrays
+    ``_u``, ``_v``, ``_w``.  Every Graph is checked when built: n < 0 or
+    n > `MAX_VERTICES` raises `GraphError`; the first edge with an endpoint
+    outside 0..n-1, a self-loop, a weight not finite and > 0, or an earlier
+    edge's unordered pair raises `EdgeError`, naming the first rule it breaks.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    # dense arrays derived once at construction, shared by all queries
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
-    _v: np.ndarray = field(init=False, repr=False, compare=False)
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _u: np.ndarray
+    _v: np.ndarray
+    _w: np.ndarray
     # `component_labels` of the edges, computed on first use
-    _labels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _labels: np.ndarray | None = None
     # Laplacian eigendecomposition, set by harmonic.decomposition on first use
-    _decomposition: object = field(default=None, init=False, repr=False, compare=False)
+    _decomposition: object = None
 
-    def __post_init__(self):
-        n, edges = self.n, self.edges
+    def __init__(self, n: int, edges):
+        self._store(n, *([row[i] for row in edges] for i in range(3)))
+
+    @classmethod
+    def _from_arrays(cls, n: int, u, v, w) -> "Graph":
+        """The checked Graph on the edge columns u, v, w, which it takes over."""
+        return cls.__new__(cls)._store(n, u, v, w)
+
+    def _store(self, n, u, v, w) -> "Graph":
+        """Check the edge columns, keep them read-only, and return self."""
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the largest supported, {MAX_VERTICES}")
+        given = u, v  # an error names the endpoints as given
         try:
-            u = np.array([e[0] for e in edges], dtype=np.int64)
-            v = np.array([e[1] for e in edges], dtype=np.int64)
+            u, v = (np.asarray(x, dtype=np.int64) for x in given)
         except OverflowError:  # an endpoint beyond int64 is out of range: clip it to -1 or n
-            u, v = (np.array([min(max(int(e[i]), -1), n) for e in edges], dtype=np.int64) for i in (0, 1))
-        w = np.array([e[2] for e in edges], dtype=np.float64)
+            u, v = (np.array([min(max(int(a), -1), n) for a in x], dtype=np.int64) for x in given)
+        w = np.asarray(w, dtype=np.float64)
         # one mask per rule, in reporting order; a duplicate repeats an earlier key lo*n + hi
         # (a key shared via an out-of-range endpoint marks nothing before the first bad edge)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -82,14 +87,34 @@ class Graph:
             rule = int(np.argmax(rules[:, e]))
             message = (f"endpoint out of range 0..{n - 1}", "self-loop",
                        f"weight must be positive, got {w[e]}", "duplicate edge")[rule]
-            raise EdgeError(e, int(edges[e][0]), int(edges[e][1]), message)
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_w", w)
+            raise EdgeError(e, int(given[0][e]), int(given[1][e]), message)
+        object.__setattr__(self, "n", n)
+        for name, x in (("_u", u), ("_v", v), ("_w", w)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
+        return self
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The rows ((u, v, w), ...), built from the arrays on each call: O(m), not for loops.  They
+        come at exact size from one record array; zip over three lists kept malloc's heap from shrinking."""
+        return tuple(np.rec.fromarrays((self._u, self._v, self._w)).tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self._u, other._u) and np.array_equal(self._v, other._v)
+                and np.array_equal(self._w, other._w))
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._u)
 
     @property
     def weights(self) -> np.ndarray:
@@ -112,7 +137,8 @@ class Graph:
         """L = D - A, equivalently boundary @ W @ boundary.T, in one n x n array."""
         L = np.zeros((self.n, self.n))
         L[self._u, self._v] = L[self._v, self._u] = -self._w
-        np.fill_diagonal(L, 0.0 - L.sum(axis=1))  # D bit for bit: +0.0, not -0.0, when isolated
+        with np.errstate(over="ignore"):  # a degree beyond float64 is inf, which `decompose` reports
+            np.fill_diagonal(L, 0.0 - L.sum(axis=1))  # D bit for bit: +0.0, not -0.0, when isolated
         return L
 
     def boundary(self) -> np.ndarray:
@@ -129,20 +155,19 @@ class Graph:
 
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
-        u, v, _ = self.edges[e]
-        edges = list(self.edges)
-        edges[e] = (u, v, float(w))
-        return Graph(self.n, tuple(edges))
+        weights = self._w.copy()
+        weights[e] = float(w)
+        return Graph._from_arrays(self.n, self._u, self._v, weights)
 
     def without_edge(self, e: int) -> "Graph":
         """Copy with edge e removed; later edges shift down by one index."""
-        edges = self.edges[:e] + self.edges[e + 1:]
-        return Graph(self.n, edges)
+        return Graph._from_arrays(self.n, *(np.delete(x, e) for x in (self._u, self._v, self._w)))
 
     def with_edges_added(self, new_edges) -> "Graph":
         """Copy with extra edges appended; existing indices are preserved."""
-        extra = tuple((int(u), int(v), float(w)) for u, v, w in new_edges)
-        return Graph(self.n, self.edges + extra)
+        rows = [(u, v, w) for u, v, w in new_edges]  # np.append keeps an int beyond int64 as given
+        columns = (np.append(x, [row[i] for row in rows]) for i, x in enumerate((self._u, self._v, self._w)))
+        return Graph._from_arrays(self.n, *columns)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -200,7 +225,7 @@ def connected_subgraph(g: Graph, verts: np.ndarray, ids: np.ndarray) -> Graph:
     it again.
     """
     lu, lv = np.searchsorted(verts, g._u[ids]), np.searchsorted(verts, g._v[ids])
-    sub = Graph(len(verts), tuple(zip(lu.tolist(), lv.tolist(), g._w[ids].tolist())))
+    sub = Graph._from_arrays(len(verts), lu, lv, g._w[ids])
     label = np.zeros(len(verts), dtype=np.int64)
     label.setflags(write=False)
     object.__setattr__(sub, "_labels", label)

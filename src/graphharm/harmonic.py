@@ -169,7 +169,7 @@ def rtot_derivative_check(g: Graph, e: int, h: float = 1e-4) -> tuple[float, flo
     central difference with step h.
     """
     require_connected(g)
-    u, v, w = g.edges[e]
+    u, v, w = int(g._u[e]), int(g._v[e]), float(g._w[e])
     analytic = -g.n * biharmonic_distance(g, u, v) ** 2
     up = total_resistance(g.with_weight(e, w + h))
     down = total_resistance(g.with_weight(e, w - h))

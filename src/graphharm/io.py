@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import EdgeError, Graph, GraphError, build_graph
+from .graph import EdgeError, Graph, GraphError
 
 
 class ParseError(GraphError):
@@ -29,18 +29,15 @@ class ParseError(GraphError):
 
 
 def load_edge_list(path) -> Graph:
-    raw: list[tuple[int, int, float]] = []
-    linenos: list[int] = []  # source line of each edge in raw
-    declared_n = None
-    header_line = None
-    first_data_line = True
+    us, vs, ws, linenos = [], [], [], []  # the endpoints, weight and source line of each edge
+    declared_n = header_line = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             parts = text.split()
-            if first_data_line and parts[0] == "n":
+            if parts[0] == "n" and header_line is None and not linenos:  # the first data line
                 if len(parts) != 2:
                     raise ParseError(path, lineno, "header must be 'n COUNT'")
                 try:
@@ -50,26 +47,25 @@ def load_edge_list(path) -> Graph:
                 if declared_n < 0:
                     raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
                 header_line = lineno
-                first_data_line = False
                 continue
-            first_data_line = False
             if len(parts) not in (2, 3):
                 raise ParseError(path, lineno, f"expected 'u v [w]', got {text!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
+                u, v, w = int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError:
                 raise ParseError(path, lineno, f"could not parse edge {text!r}")
-            raw.append((u, v, w))
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
             linenos.append(lineno)
     if declared_n is None:
-        declared_n = 1 + max((max(u, v) for u, v, _ in raw), default=-1)
+        declared_n = 1 + max(max(us, default=-1), max(vs, default=-1))
     try:
-        return build_graph(declared_n, raw)
+        return Graph._from_arrays(declared_n, us, vs, ws)
     except EdgeError as exc:
         raise ParseError(path, linenos[exc.edge], str(exc)) from exc
     except GraphError as exc:  # the vertex count: the header's, or one past the largest endpoint
-        line = header_line or linenos[max(range(len(raw)), key=lambda i: max(raw[i][:2]))]
+        line = header_line or linenos[max(range(len(us)), key=lambda i: max(us[i], vs[i]))]
         raise ParseError(path, line, str(exc)) from exc
 
 
@@ -77,7 +73,7 @@ def save_edge_list(g: Graph, path) -> None:
     """Writes a header line so isolated trailing vertices round-trip."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n {g.n}\n")
-        for u, v, w in g.edges:
+        for u, v, w in zip(g._u.tolist(), g._v.tolist(), g._w.tolist()):
             fh.write(f"{u} {v} {w!r}\n")
 
 

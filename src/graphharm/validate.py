@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cluster, flow, generators, harmonic, spectra
 from .graph import (
-    Cut, Graph, GraphError, bridges, build_graph, component_labels, connected_subgraph, cut_from_side,
+    Cut, Graph, GraphError, bridges, component_labels, connected_subgraph, cut_from_side,
     require_connected, require_seed,
 )
 
@@ -59,16 +59,11 @@ def brute_force_distance(g: Graph, k: int, s: int, t: int) -> float:
 
 
 def _random_tree(n: int, rng: np.random.Generator, weighted: bool) -> Graph:
-    edges = []
+    parents, weights = [], []
     for v in range(1, n):
-        u = int(rng.integers(0, v))
-        w = float(rng.uniform(0.1, 10.0)) if weighted else 1.0
-        edges.append((u, v, w))
-    return build_graph(n, edges)
-
-
-def _reweight(g: Graph, rng: np.random.Generator) -> Graph:
-    return build_graph(g.n, [(u, v, float(rng.uniform(0.1, 10.0))) for u, v, _ in g.edges])
+        parents.append(int(rng.integers(0, v)))
+        weights.append(float(rng.uniform(0.1, 10.0)) if weighted else 1.0)
+    return Graph._from_arrays(n, parents, np.arange(1, n), weights)
 
 
 FAMILIES = ("er", "tree", "er_weighted", "tree_weighted", "sbm")
@@ -76,21 +71,17 @@ UNWEIGHTED_FAMILIES = ("er", "tree", "sbm")
 
 
 def sample_graph(family: str, n: int, seed: int) -> Graph:
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
     rng = np.random.default_rng([seed, FAMILIES.index(family)])
     sub = int(rng.integers(0, 2**31))
-    if family == "er":
-        return generators.erdos_renyi(n, 0.5, sub)
-    if family == "er_weighted":
-        return _reweight(generators.erdos_renyi(n, 0.5, sub), rng)
-    if family == "tree":
-        return _random_tree(n, rng, weighted=False)
-    if family == "tree_weighted":
-        return _random_tree(n, rng, weighted=True)
-    if family == "sbm":
-        half = max(n // 2, 2)
-        g, _ = generators.sbm([half, n - half], 0.7, 0.15, sub)
-        return g
-    raise GraphError(f"unknown family {family!r}")
+    if family in ("er", "er_weighted"):
+        g = generators.erdos_renyi(n, 0.5, sub)
+        return g if family == "er" else Graph._from_arrays(n, g._u, g._v, rng.uniform(0.1, 10.0, g.m))
+    if family in ("tree", "tree_weighted"):
+        return _random_tree(n, rng, weighted=family == "tree_weighted")
+    half = max(n // 2, 2)  # sbm
+    return generators.sbm([half, n - half], 0.7, 0.15, sub)[0]
 
 
 def _graphs(trials, n_lo, n_hi, seed, families, max_n, built):
@@ -200,7 +191,7 @@ def _betweenness_reference(g: Graph) -> np.ndarray:
     """Brandes' algorithm one source at a time: the loop oracle for
     `flow.edge_betweenness`."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e, (u, v, _) in enumerate(g.edges):
+    for e, (u, v) in enumerate(zip(g._u.tolist(), g._v.tolist())):
         adj[u].append((v, e))
         adj[v].append((u, e))
     scores = np.zeros(g.m)
@@ -288,7 +279,7 @@ def _check_sweep_separation(g: Graph):
     its reference on two st-potentials and a vector of many ties."""
     P = spectra.pinv_powers(harmonic.decomposition(g), 1)[0]  # L^+: P[:, s] - P[:, t] is p_st
     failures = 0
-    for u, v, _ in g.edges:
+    for u, v in zip(g._u.tolist(), g._v.tolist()):
         cut = cluster.sweep_cut(g, P[:, u] - P[:, v])
         failures += not (u in cut.side and v not in cut.side)
     rng = np.random.default_rng(5 * g.n + g.m)
@@ -450,7 +441,7 @@ def _girvan_newman_reference(g: Graph, c: int, measure: str = "biharmonic2", k: 
                 sub = connected_subgraph(work, np.flatnonzero(label == root), edge_ids)
                 scores[ids[edge_ids]] = flow.edge_measure(sub, measure, k).values
         e_max = cluster.top_edge(scores[ids])
-        u, v, _ = work.edges[e_max]
+        u, v = work._u[e_max], work._v[e_max]
         work = work.without_edge(e_max)
         ids = np.delete(ids, e_max)
         label = component_labels(work.n, work._u, work._v)
@@ -480,8 +471,7 @@ def _check_pinv_updates(g: Graph):
     sides = []
     e = next(iter(_non_bridges(g).tolist()), None)
     if e is not None:
-        u, v, w = g.edges[e]
-        spectra.pinv_update(P, Q, [u], [v], [-w])
+        spectra.pinv_update(P, Q, g._u[[e]], g._v[[e]], -g._w[[e]])
         g = g.without_edge(e)
         dec = spectra.decompose(g.laplacian())
         # copies: the update below works on P and Q in place

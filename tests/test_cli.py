@@ -275,6 +275,28 @@ def test_vertex_count_beyond_the_limit_is_parse_error(tmp_path, capsys):
     assert f"{path}:1: vertex count 99999999999999999999 exceeds" in err
 
 
+def _cli(tmp_path, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(graphharm.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "graphharm.cli", *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+
+
+def test_a_degree_beyond_float64_prints_only_the_typed_error(tmp_path):
+    (tmp_path / "big.txt").write_text("0 1 1e308\n1 2 1e308\n")
+    proc = _cli(tmp_path, "distances", "--graph", "big.txt", "--k", "1", "--pairs", "edges")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "error: matrix entry (1, 1) is not finite: inf\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_knn_points_that_are_not_finite_are_a_usage_error(tmp_path, bad):
+    (tmp_path / "pts.csv").write_text(f"x0,x1\n0,0\n1,0\n{bad},0\n3,0\n")
+    proc = _cli(tmp_path, "generate", "--model", "knn", "--points", "pts.csv", "--knn", "1", "--out", "g.txt")
+    expect = f"error: point 2 has a coordinate that is not finite: [{float(bad)}, 0.0]\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", expect)
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -66,6 +66,13 @@ def test_knn_tie_break_is_deterministic():
     assert a.edges == b.edges
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_a_point_that_is_not_finite(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, bad], [4.0, bad]])
+    with pytest.raises(GraphError, match=rf"^point 3 has a coordinate that is not finite: \[3.0, {bad}\]$"):
+        generators.knn(pts, 1)
+
+
 def test_generate_dispatcher():
     g = generators.generate("path", {"n": 7})
     assert g.m == 6

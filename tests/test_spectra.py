@@ -67,6 +67,16 @@ def test_decompose_names_the_first_non_finite_entry_past_the_first_block(monkeyp
         decompose(L)
 
 
+def test_a_degree_beyond_float64_reaches_the_typed_error_without_a_warning():
+    # runs under the RuntimeWarning-as-error filter: the overflowing row sum
+    # of `Graph.laplacian` must stay quiet and leave inf for `decompose`
+    g = generators.path(3).with_weight(0, 1e308).with_weight(1, 1e308)
+    L = g.laplacian()
+    assert L[1, 1] == np.inf
+    with pytest.raises(SpectraError, match=r"^matrix entry \(1, 1\) is not finite: inf$"):
+        decompose(L)
+
+
 def test_decompose_memory_beside_its_input():
     """At most 1.3 n^2 floats beside L, as tracemalloc sees them.
 

@@ -32,6 +32,11 @@ def test_sample_graph_is_deterministic():
         assert a.edges == b.edges
 
 
+def test_sample_graph_names_an_unknown_family():
+    with pytest.raises(GraphError, match="unknown family 'cycle'"):
+        sample_graph("cycle", 14, seed=3)
+
+
 def test_run_suite_small_config_passes():
     names = ["foster", "potentials", "sweep_separation", "spectral_reads", "betweenness", "pinv_updates"]
     reports = run_suite(names, n_range=(8, 16), trials=5, seed=1)
