@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, harmonic, spectra
-from .graph import Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side, require_seed
+from .graph import (Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side, require_points,
+                    require_seed)
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,10 @@ def lloyd_iterations(points, c, seed):
     own centroid among clusters of at least two members (ties to the
     lowest index), so every cluster keeps a member.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n, d = pts.shape
-    if c > n:
+    pts = require_points(points)
+    n = len(pts)
+    if not 1 <= c <= n:
         raise GraphError(f"cannot form c={c} clusters from {n} points")
-    if c < 1 or d == 0:
-        raise GraphError("need c >= 1 clusters and at least one coordinate")
     rng = np.random.default_rng(require_seed(seed))
     sq = np.einsum("ij,ij->i", pts, pts)
     d2 = _sq_distances(pts, sq, pts[rng.choice(n, size=c, replace=False)])
@@ -127,26 +126,24 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
     on its remaining edges (`component_labels`) decides whether it split:
 
     - if it did not, and the scores are read off L^+ or (L^+)^2
-      (`flow.pinv_order`), the component's matrices take the rank-one
+      (`flow.measure_k` 1 or 2), the component's matrices take the rank-one
       `spectra.pinv_update` in O(n^2) and its scores are read off them
       in O(m);
     - otherwise each piece is decomposed and scored afresh.  So is a
       deletion with 1 - w_e R_e below sqrt(eps), where the update would
       divide by a near-zero, and every deletion under `betweenness` or a
-      fractional k.
+      k other than 1 or 2.
 
     `top_edge` (`harmonic.top_of_ties`) deletes the lowest edge index in the
     top tie group of `harmonic.tie_groups`, so the run is deterministic.
     `validate._girvan_newman_reference` is the loop that rebuilds the
     graph and re-decomposes after every deletion.
     """
-    if c > g.n:
+    if not 1 <= c <= g.n:
         raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
     if measure not in GN_MEASURES:
         raise GraphError(f"unknown GN measure {measure!r}; choose from {GN_MEASURES}")
-    if measure == "biharmonic2":
-        k = 2.0
-    order = flow.pinv_order(measure, k)
+    order = {1: 1, 2: 2}.get(flow.measure_k(measure, k))  # the power of L^+ the scores are read off, if any
     u, v, w = g._u, g._v, g._w
     alive = np.ones(g.m, dtype=bool)
     label = component_labels(g.n, u, v)  # each vertex's component, named by its smallest member

@@ -183,36 +183,30 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[groups]
 
 
-MEASURES = ("resistance", "biharmonic2", "kharmonic2", "current-flow", "betweenness")
+KHARMONIC_K = {"resistance": 1.0, "biharmonic2": 2.0, "kharmonic2": None}  # None: the caller's k
+MEASURES = (*KHARMONIC_K, "current-flow", "betweenness")
 
 
-def edge_measure(g: Graph, measure: str, k: float | None = None, dec=None) -> EdgeScores:
-    """Evaluate a named per-edge centrality measure."""
-    if measure == "resistance":
-        return harmonic.edge_kharmonic_sq(g, 1.0, dec)
-    if measure == "biharmonic2":
-        return harmonic.biharmonic_edge_sq(g, dec)
-    if measure == "kharmonic2":
+def measure_k(measure: str, k: float | None = None) -> float | None:
+    """The k of the squared k-harmonic edge distance (H^k_e)^2 that a measure
+    scores, from `KHARMONIC_K`, or None for current-flow and betweenness."""
+    if measure not in MEASURES:
+        raise GraphError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    if measure in KHARMONIC_K and KHARMONIC_K[measure] is None:
         if k is None:
-            raise GraphError("measure kharmonic2 requires a value of k")
-        return harmonic.edge_kharmonic_sq(g, float(k), dec)
+            raise GraphError(f"measure {measure} requires a value of k")
+        return float(k)
+    return KHARMONIC_K.get(measure)
+
+
+def edge_measure(g: Graph, measure: str, k: float | None = None) -> EdgeScores:
+    """Evaluate a named per-edge centrality measure."""
+    hk = measure_k(measure, k)
+    if hk is not None:
+        return harmonic.edge_kharmonic_sq(g, hk)
     if measure == "current-flow":
-        return current_flow_centrality(g, dec)
-    if measure == "betweenness":
-        return edge_betweenness(g)
-    raise GraphError(f"unknown measure {measure!r}; choose from {MEASURES}")
-
-
-def pinv_order(measure: str, k: float | None = None) -> int | None:
-    """1 or 2 when the measure's edge scores are read off L^+ or (L^+)^2
-    (resistance, biharmonic2, kharmonic2 at k = 1 or 2), else None."""
-    if measure == "resistance":
-        return 1
-    if measure == "biharmonic2":
-        return 2
-    if measure == "kharmonic2" and k in (1, 2):
-        return int(k)
-    return None
+        return current_flow_centrality(g)
+    return edge_betweenness(g)
 
 
 def _non_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +240,7 @@ def resilience_experiment(
     Each trial adds `num_added` uniformly random non-edges (derived
     sub-seed), recomputes the measure, and correlates the scores on the
     ORIGINAL edges only.  A measure read off L^+ or (L^+)^2
-    (`pinv_order`) adds to its scores the change that one
+    (`measure_k` 1 or 2) adds to its scores the change that one
     rank-`num_added` Woodbury update makes (`spectra.pinv_update_reads`),
     O(n^2 a + m a) from g's eigenvectors; any other measure is recomputed
     on the perturbed graph.  num_added and trials must be at least 1.
@@ -255,16 +249,16 @@ def resilience_experiment(
         raise GraphError(f"need num_added >= 1 and trials >= 1, got {num_added} and {trials}")
     require_connected(g)
     original = edge_measure(g, measure, k)
-    order = pinv_order(measure, k)
+    hk = measure_k(measure, k)
     pool = _non_edges(g)
     out = []
     for trial in range(trials):
         rng = np.random.default_rng([require_seed(seed), trial])
         extra = _sample_non_edges(pool, num_added, rng)
-        if order:
+        if hk in (1, 2):
             s, t, w = (np.array(col) for col in zip(*extra))
             dec = harmonic.decomposition(g)
-            values = original.values + spectra.pinv_update_reads(dec, order, s, t, w, g._u, g._v)
+            values = original.values + spectra.pinv_update_reads(dec, hk, s, t, w, g._u, g._v)
         else:
             values = edge_measure(g.with_edges_added(extra), measure, k).values[: g.m]
         out.append(spearman(original, EdgeScores(values, original.meaning)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError, is_connected, require_seed
+from .graph import Graph, GraphError, is_connected, require_points, require_seed
 
 MAX_CONNECT_ATTEMPTS = 100
 
@@ -102,11 +102,8 @@ def knn(points, k: int) -> Graph:
     Euclidean nearest neighbors.  Distance ties break toward the lower
     point index.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise GraphError(f"point {bad[0]} has a coordinate that is not finite: {pts[bad[0]].tolist()}")
+    pts = require_points(points)
+    n = len(pts)
     if k >= n:
         raise GraphError(f"k={k} must be smaller than the number of points ({n})")
     if k < 1:

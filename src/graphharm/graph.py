@@ -255,6 +255,21 @@ def require_seed(seed) -> int:
     return int(seed)
 
 
+def require_points(points) -> np.ndarray:
+    """points as a float64 n x d array, d >= 1, with every coordinate finite and at most sqrt(float64 max / 4d)
+    in size, less rounding room, so no squared distance overflows; points that pass cost a max and a min pass."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise GraphError(f"points must be an n x d array with d >= 1, got shape {pts.shape}")
+    bound = np.sqrt(np.finfo(np.float64).max * (1 - 1e-9) / (4 * pts.shape[1]))  # 1e-9: room for rounding
+    if pts.size and not (-bound <= pts.min() and pts.max() <= bound):
+        i = int(np.argmin((np.abs(pts) <= bound).all(axis=1)))  # the first bad point: NaN fails the test too
+        finite = np.isfinite(pts[i]).all()
+        why = f"beyond ±{bound:.3g}, where squared distances overflow" if finite else "that is not finite"
+        raise GraphError(f"point {i} has a coordinate {why}: {pts[i].tolist()}")
+    return pts
+
+
 def csr_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, heads, edge ids) of the 2m arcs, grouped by tail.
 

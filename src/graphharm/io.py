@@ -85,8 +85,9 @@ def load_points_csv(path):
             header = next(reader)
         except StopIteration:
             raise ParseError(path, 1, "missing header row")
-        has_labels = header and header[-1].strip().lower() == "label"
+        has_labels = bool(header) and header[-1].strip().lower() == "label"
         ncols = len(header)
+        d = ncols - has_labels  # coordinate columns
         rows = []
         labels = []
         for lineno, row in enumerate(reader, start=2):
@@ -97,14 +98,12 @@ def load_points_csv(path):
                     path, lineno, f"expected {ncols} columns, got {len(row)}"
                 )
             try:
+                rows.append([float(x) for x in row[:d]])
                 if has_labels:
-                    rows.append([float(x) for x in row[:-1]])
                     labels.append(int(row[-1]))
-                else:
-                    rows.append([float(x) for x in row])
             except ValueError:
                 raise ParseError(path, lineno, f"could not parse row {row!r}")
-    points = np.array(rows, dtype=np.float64)
+    points = np.array(rows, dtype=np.float64).reshape(len(rows), d)
     return points, (np.array(labels, dtype=np.int64) if has_labels else None)
 
 

@@ -426,8 +426,6 @@ def _girvan_newman_reference(g: Graph, c: int, measure: str = "biharmonic2", k: 
     """Girvan-Newman that rebuilds the graph after every deletion and
     re-scores the component that lost the edge from a fresh
     decomposition: the oracle for `cluster.girvan_newman`'s assignment."""
-    if measure == "biharmonic2":
-        k = 2.0
     work = g
     label = component_labels(g.n, g._u, g._v)
     vertices = np.arange(g.n)  # a component's smallest member is labelled by itself

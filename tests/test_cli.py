@@ -297,6 +297,18 @@ def test_knn_points_that_are_not_finite_are_a_usage_error(tmp_path, bad):
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.mark.parametrize("text, expect", [
+    ("x0,x1\n", "error: k=1 must be smaller than the number of points (0)\n"),
+    ("label\n0\n1\n1\n", "error: points must be an n x d array with d >= 1, got shape (3, 0)\n"),
+    ("x0\n0\n1e200\n2e200\n", "error: point 1 has a coordinate beyond ±6.7e+153, where squared distances overflow: [1e+200]\n"),
+], ids=["header-only", "labels-only", "huge"])
+def test_knn_points_without_rows_coordinates_or_finite_distances_are_a_usage_error(tmp_path, text, expect):
+    (tmp_path / "pts.csv").write_text(text)
+    proc = _cli(tmp_path, "generate", "--model", "knn", "--points", "pts.csv", "--knn", "1", "--out", "g.txt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", expect)
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

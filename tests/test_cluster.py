@@ -37,6 +37,17 @@ def test_kmeans_is_deterministic():
     assert np.array_equal(a1.assignment, a2.assignment) and i1 == i2
 
 
+@pytest.mark.parametrize("points, message", [
+    ([[np.nan, 0], [1, 1], [2, 2], [3, 3]], r"^point 0 has a coordinate that is not finite: \[nan, 0.0\]$"),
+    ([[0, 0], [1, 1], [2, np.inf], [3, 3]], r"^point 2 has a coordinate that is not finite: \[2.0, inf\]$"),
+    ([[1e200], [2e200], [0], [1]], r"^point 0 has a coordinate beyond ±6.7e\+153, where squared distances overflow"),
+    ([0, 1, 2, 3], r"^points must be an n x d array with d >= 1, got shape \(4,\)$"),
+], ids=["nan", "inf", "huge", "1-D"])
+def test_kmeans_rejects_points_without_finite_distances(points, message):
+    with pytest.raises(GraphError, match=message):
+        kmeans(points, 2, 0)
+
+
 def test_kmeans_handles_more_clusters_than_natural():
     pts, _ = _two_blobs()
     res, _ = kmeans(pts, 5, seed=2)
@@ -208,7 +219,7 @@ def _heavy_edge_beside_light_path():
     [lambda b: generators.path(8), lambda b: _weighted_tree(), lambda b: b, lambda b: _heavy_edge_beside_light_path()],
     ids=["path8", "weighted-tree", "barbell", "heavy-edge"],
 )
-@pytest.mark.parametrize("measure, k", [("biharmonic2", 2.0), ("kharmonic2", 1.0), ("kharmonic2", 2.5)])
+@pytest.mark.parametrize("measure, k", [(m, k) for m in cluster.GN_MEASURES for k in (1.0, 2.0, 2.5)])
 def test_girvan_newman_matches_the_rebuilding_loop(barbell, make, measure, k):
     # every deletion on the path and the tree is a bridge; the barbell and
     # the heavy edge interleave rank-one updates with fresh decompositions
@@ -254,6 +265,12 @@ def test_girvan_newman_decomposes_once_per_split(monkeypatch):
 def test_girvan_newman_rejects_unknown_measure(barbell):
     with pytest.raises(GraphError):
         girvan_newman(barbell, 2, measure="resistance")
+
+
+@pytest.mark.parametrize("c", [0, -1, 7])
+def test_girvan_newman_rejects_a_cluster_count_outside_1_to_n(barbell, c):
+    with pytest.raises(GraphError, match=rf"^cannot form c={c} clusters on 6 vertices$"):
+        girvan_newman(barbell, c)
 
 
 def test_sweep_cut_separates_endpoints(barbell):

@@ -1,8 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphharm
 from graphharm import flow, generators, harmonic, io, spectra, validate
 from graphharm.flow import (
     current_flow_centrality,
@@ -283,6 +286,51 @@ def test_edge_measure_dispatch():
         edge_measure(g, "pagerank")
 
 
+def test_measure_k_reads_the_table():
+    assert flow.MEASURES == (*flow.KHARMONIC_K, "current-flow", "betweenness")
+    assert [flow.measure_k(m, 1.5) for m in flow.MEASURES] == [1.0, 2.0, 1.5, None, None]
+    assert [flow.measure_k(m) for m in ("resistance", "biharmonic2", "current-flow", "betweenness")] == [1.0, 2.0, None, None]
+    with pytest.raises(GraphError, match="^measure kharmonic2 requires a value of k$"):
+        flow.measure_k("kharmonic2")
+    with pytest.raises(GraphError, match="^unknown measure 'pagerank'; choose from"):
+        flow.measure_k("pagerank", 2.0)
+
+
+_NAMED_READERS = {
+    "resistance": lambda g: harmonic.edge_kharmonic_sq(g, 1.0),
+    "biharmonic2": harmonic.biharmonic_edge_sq,
+    "kharmonic2": lambda g: harmonic.edge_kharmonic_sq(g, 1.5),
+    "current-flow": current_flow_centrality,
+    "betweenness": edge_betweenness,
+}
+
+
+@pytest.mark.parametrize("measure", flow.MEASURES)
+def test_edge_measure_equals_its_named_reader_bit_for_bit(measure):
+    g, _ = generators.sbm([12, 12], 0.5, 0.1, 3)
+    fresh, _ = generators.sbm([12, 12], 0.5, 0.1, 3)  # its own decomposition
+    assert edge_measure(g, measure, 1.5).values.tobytes() == _NAMED_READERS[measure](fresh).values.tobytes()
+
+
+def _is_measure_name(node) -> bool:
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(x, ast.Constant) and isinstance(x.value, str) and x.value in flow.MEASURES for x in items)
+
+
+def test_only_the_flow_module_compares_measure_names():
+    """What an edge measure is (`flow.KHARMONIC_K`) is known to `flow.py`
+    alone: no other module of the package compares a string with a
+    measure name."""
+    package = Path(graphharm.__file__).parent
+    comparisons = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "flow.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and any(map(_is_measure_name, (node.left, *node.comparators)))
+    ]
+    assert comparisons == []
+
+
 def test_resilience_is_deterministic():
     g = generators.erdos_renyi(20, 0.3, seed=1)
     a = resilience_experiment(g, "resistance", num_added=3, trials=4, seed=7)
@@ -308,7 +356,8 @@ def test_sampled_non_edges_match_the_pair_comprehension(seed):
     assert all(type(x) is int for u, v, _ in drawn for x in (u, v))
 
 
-@pytest.mark.parametrize("measure, k", [("resistance", None), ("biharmonic2", None), ("kharmonic2", 1.0), ("kharmonic2", 2.0)])
+@pytest.mark.parametrize("measure, k", [("resistance", None), ("biharmonic2", None), ("kharmonic2", 1.0), ("kharmonic2", 2.0),
+                                      ("current-flow", None), ("betweenness", None)])
 def test_resilience_update_matches_the_rebuild_route(measure, k):
     g, _ = generators.sbm([12, 12], 0.5, 0.1, 3)
     fast = resilience_experiment(g, measure, num_added=6, trials=4, seed=2, k=k)

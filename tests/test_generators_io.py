@@ -73,6 +73,12 @@ def test_knn_rejects_a_point_that_is_not_finite(bad):
         generators.knn(pts, 1)
 
 
+def test_knn_rejects_points_whose_squared_distances_overflow():
+    # the squared distances would be inf, and point 0 would pick itself as a self-loop
+    with pytest.raises(GraphError, match=r"^point 1 has a coordinate beyond ±6.7e\+153, where squared distances overflow"):
+        generators.knn([[0.0], [1e200], [2e200], [3e200]], 1)
+
+
 def test_generate_dispatcher():
     g = generators.generate("path", {"n": 7})
     assert g.m == 6
@@ -170,6 +176,15 @@ def test_points_csv_without_labels(tmp_path):
     path.write_text("x,y\n1.0,2.0\n3.0,4.0\n")
     pts, labels = io.load_points_csv(path)
     assert pts.shape == (2, 2) and labels is None
+
+
+@pytest.mark.parametrize("header, shape", [("x,y", (0, 2)), ("x,y,label", (0, 2)), ("label", (0, 0))])
+def test_points_csv_without_rows_keeps_its_columns(tmp_path, header, shape):
+    path = tmp_path / "pts.csv"
+    path.write_text(header + "\n")
+    pts, labels = io.load_points_csv(path)
+    assert pts.shape == shape and pts.dtype == np.float64
+    assert (labels is None) == (not header.endswith("label"))
 
 
 def test_bundled_datasets_load():

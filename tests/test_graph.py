@@ -18,6 +18,7 @@ from graphharm.graph import (
     connected_subgraph,
     cut_from_side,
     is_connected,
+    require_points,
     require_connected,
 )
 
@@ -392,3 +393,43 @@ def test_memoised_decomposition_leaves_equality_and_repr_alone():
     harmonic.decomposition(a)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "Graph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33])
+def test_points_at_the_coordinate_bound_give_finite_distances(d):
+    # every sign pattern at the bound: no squared distance in knn or k-means overflows
+    bound = np.sqrt(np.finfo(np.float64).max * (1 - 1e-9) / (4 * d))
+    pts = bound * np.random.default_rng(d).choice([-1.0, 0.0, 1.0], size=(9, d))
+    pts[0], pts[1] = bound, -bound
+    assert require_points(pts) is pts
+    assert generators.knn(pts, 2).m >= 9
+    assert np.isfinite(cluster.kmeans(pts, 3, 0)[1])
+    beyond = pts.copy()
+    beyond[4, d - 1] = np.nextafter(-bound, -np.inf)
+    with pytest.raises(GraphError, match=rf"^point 4 has a coordinate beyond ±.*, where squared distances overflow: "):
+        require_points(beyond)
+
+
+@pytest.mark.parametrize("points, message", [
+    ([0.0, 1.0, 2.0], r"^points must be an n x d array with d >= 1, got shape \(3,\)$"),
+    (np.zeros((4, 0)), r"^points must be an n x d array with d >= 1, got shape \(4, 0\)$"),
+    (np.zeros((2, 2, 1)), r"^points must be an n x d array"),
+    ([[0.0, 1.0], [1e200, 0.0], [np.nan, 0.0]], r"^point 1 has a coordinate beyond ±.*: \[1e\+200, 0.0\]$"),
+    ([[0.0, 1.0], [np.nan, 0.0], [1e200, 0.0]], r"^point 1 has a coordinate that is not finite: \[nan, 0.0\]$"),
+    ([[0.0], [-np.inf]], r"^point 1 has a coordinate that is not finite: \[-inf\]$"),
+], ids=["1-D", "no-coordinates", "3-D", "huge-first", "nan-first", "-inf"])
+def test_require_points_names_the_first_bad_point(points, message):
+    with pytest.raises(GraphError, match=message):
+        require_points(points)
+
+
+def test_require_points_accepts_no_rows_and_copies_nothing():
+    assert require_points(np.zeros((0, 3))).shape == (0, 3)
+    pts = np.random.default_rng(0).normal(size=(20000, 8))
+    tracemalloc.start()
+    try:
+        assert require_points(pts) is pts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000  # the points are 1.28 MB
