@@ -24,8 +24,6 @@ from .graph import (  # noqa: E402
     Graph,
     GraphError,
     bridges,
-    build_graph,
-    connected_components,
     cut_from_side,
     is_connected,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "bridges",
-    "build_graph",
-    "connected_components",
     "cut_from_side",
     "is_connected",
     "generators",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, harmonic, spectra
-from .graph import (Cut, Graph, GraphError, component_labels, connected_subgraph, cut_from_side, require_points,
-                    require_seed)
+from .graph import (Cut, Graph, GraphError, _integer_in, component_labels, connected_subgraph, cut_from_side,
+                    require_points, require_seed)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def lloyd_iterations(points, c, seed):
     """
     pts = require_points(points)
     n = len(pts)
-    if not 1 <= c <= n:
+    if not _integer_in(c, 1, n):
         raise GraphError(f"cannot form c={c} clusters from {n} points")
     rng = np.random.default_rng(require_seed(seed))
     sq = np.einsum("ij,ij->i", pts, pts)
@@ -87,20 +87,18 @@ def kmeans(points, c: int, seed: int):
     return Clustering(assign, c), inertia
 
 
-def kharmonic_kmeans(g: Graph, c: int, k: float, seed: int, dec=None) -> Clustering:
+def kharmonic_kmeans(g: Graph, c: int, k: float, seed: int) -> Clustering:
     """k-means over the full-rank k-harmonic embedding (k=2: biharmonic)."""
-    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), k), c, seed)[0]
+    return kmeans(spectra.embedding(harmonic._connected_dec(g), k), c, seed)[0]
 
 
-def low_rank_kharmonic_kmeans(
-    g: Graph, c: int, k: float, r: int | None = None, seed: int = 0, dec=None
-) -> Clustering:
+def low_rank_kharmonic_kmeans(g: Graph, c: int, k: float, r: int | None = None, seed: int = 0) -> Clustering:
     """k-means over the rank-r k-harmonic embedding; r defaults to c."""
     r = c if r is None else r
-    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), k, r), c, seed)[0]
+    return kmeans(spectra.embedding(harmonic._connected_dec(g), k, r), c, seed)[0]
 
 
-def spectral_clustering(g: Graph, c: int, seed: int, dec=None) -> Clustering:
+def spectral_clustering(g: Graph, c: int, seed: int) -> Clustering:
     """Unnormalized spectral clustering.
 
     Embeds with the eigenvectors of the c smallest strictly positive
@@ -109,7 +107,7 @@ def spectral_clustering(g: Graph, c: int, seed: int, dec=None) -> Clustering:
     """
     if c >= g.n:
         raise GraphError(f"spectral clustering needs c < n, got c={c}, n={g.n}")
-    return kmeans(spectra.embedding(harmonic._connected_dec(g, dec), 0.0, c), c, seed)[0]
+    return kmeans(spectra.embedding(harmonic._connected_dec(g), 0.0, c), c, seed)[0]
 
 
 GN_MEASURES = ("biharmonic2", "kharmonic2", "betweenness")
@@ -139,7 +137,7 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
     `validate._girvan_newman_reference` is the loop that rebuilds the
     graph and re-decomposes after every deletion.
     """
-    if not 1 <= c <= g.n:
+    if not _integer_in(c, 1, g.n):
         raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
     if measure not in GN_MEASURES:
         raise GraphError(f"unknown GN measure {measure!r}; choose from {GN_MEASURES}")
@@ -205,12 +203,13 @@ top_edge = harmonic.top_of_ties  # the position Girvan-Newman deletes
 def sweep_cut(g: Graph, x) -> Cut:
     """Best superlevel-set cut of a vertex vector by isoperimetric ratio.
 
-    S = {v : x(v) >= t} over all distinct thresholds; ties prefer larger
-    |S|, then smaller threshold.  O(n log n + m): the crossing count and
-    |S| of every threshold come from one pass over the edges.
+    S = {v : level(v) >= t} over the levels of x (`_sweep_levels`); ties
+    prefer larger |S|, then smaller threshold.  O(n log n + m): the
+    crossing count and |S| of every threshold come from one pass over the
+    edges.
     """
-    levels, idx = np.unique(_sweep_levels(g, x), return_inverse=True)
-    L = len(levels)
+    idx = _sweep_levels(g, x)
+    L = int(idx.max(initial=0)) + 1
     if L < 2:
         raise GraphError("sweep vector is constant")
     # entry j-1 belongs to threshold level j = 1..L-1 (level 0 would select
@@ -225,18 +224,16 @@ def sweep_cut(g: Graph, x) -> Cut:
 
 
 def _sweep_levels(g: Graph, x) -> np.ndarray:
-    """The sweep vector as float64, with levels that differ only by float
-    noise merged (exactly equal potentials on hanging subtrees otherwise
+    """The level 0.. of each entry of the sweep vector: its tie group
+    (`harmonic.tie_groups`), so entries that differ only by float noise share
+    a threshold (exactly equal potentials on hanging subtrees otherwise
     split across thresholds)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise GraphError(f"vector length {x.shape} does not match n={g.n}")
     if not np.all(np.isfinite(x)):
         raise GraphError("sweep vector has non-finite entries")
-    span = np.ptp(x)
-    if span > 0:
-        x = np.round(x / span, 9) * span
-    return x
+    return harmonic.tie_groups(x)
 
 
 def purity(pred: Clustering, truth) -> float:

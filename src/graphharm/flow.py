@@ -33,19 +33,19 @@ class Flow:
     values: np.ndarray  # edge-indexed, signed by stored orientation
 
 
-def st_potential(g: Graph, s: int, t: int, dec=None) -> Potential:
+def st_potential(g: Graph, s: int, t: int) -> Potential:
     s, t = require_vertex(g, s), require_vertex(g, t)
     if s == t:
         raise GraphError("st-potential requires s != t")
-    Y = spectra.embedding(harmonic._connected_dec(g, dec), 1.0)
+    Y = spectra.embedding(harmonic._connected_dec(g), 1.0)
     return Potential(s, t, Y @ (Y[s] - Y[t]))
 
 
-def st_flow(g: Graph, s: int, t: int, dec=None) -> Flow:
+def st_flow(g: Graph, s: int, t: int) -> Flow:
     s, t = require_vertex(g, s), require_vertex(g, t)
     if s == t:
         raise GraphError("st-flow requires s != t")
-    p = st_potential(g, s, t, dec).values
+    p = st_potential(g, s, t).values
     return Flow(s, t, g._w * (p[g._u] - p[g._v]))
 
 
@@ -67,17 +67,17 @@ def min_norm_certificate(g: Graph, f: Flow) -> bool:
     return bool(np.linalg.norm(Bt @ p - target) <= _CERTIFICATE_TOL * max(1.0, float(np.linalg.norm(target))))
 
 
-def squared_flow_centrality(g: Graph, dec=None) -> EdgeScores:
+def squared_flow_centrality(g: Graph) -> EdgeScores:
     """Per edge, sum over unordered pairs of f_st(e)^2 / w_e.
 
     That sum is n * w_e * B_e^2, read off the biharmonic edge scores in
     O(m n); `validate` checks it against the pair sum itself.
     """
-    b_sq = harmonic.biharmonic_edge_sq(g, dec).values
+    b_sq = harmonic.biharmonic_edge_sq(g).values
     return EdgeScores(g.n * g._w * b_sq, "sum f_st(e)^2/w_e")
 
 
-def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
+def current_flow_centrality(g: Graph) -> EdgeScores:
     """C_e = sum over unordered pairs of |f_st(e)|.
 
     Row a = w_e (L^+[u_e] - L^+[v_e]) holds f_st(e) = a_s - a_t; sorted
@@ -85,7 +85,7 @@ def current_flow_centrality(g: Graph, dec=None) -> EdgeScores:
     Rows are formed and sorted in blocks of about spectra._BLOCK_ELEMENTS
     floats, so beside L^+ no m x n array is held.
     """
-    P = spectra.pinv_powers(harmonic._connected_dec(g, dec), 1)[0]
+    P = spectra.pinv_powers(harmonic._connected_dec(g), 1)[0]
     coeffs = 2.0 * np.arange(g.n) - g.n + 1.0
     out = np.empty(g.m)
     step = max(1, spectra._BLOCK_ELEMENTS // g.n)

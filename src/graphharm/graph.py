@@ -36,10 +36,11 @@ MAX_VERTICES = 2**31
 class Graph:
     """Undirected simple graph with positively weighted, ordered edges.
 
-    Vertices are 0..n-1.  Row e = (u, v, w) of ``Graph(n, rows)`` fixes the
-    index and orientation of edge e, kept only in the read-only arrays
-    ``_u``, ``_v``, ``_w``.  Every Graph is checked when built: n < 0 or
-    n > `MAX_VERTICES` raises `GraphError`; the first edge with an endpoint
+    Vertices are 0..n-1.  Row e = (u, v, w) or (u, v), of weight 1.0, of
+    ``Graph(n, rows)`` fixes the index and orientation of edge e, kept only
+    in the read-only arrays ``_u``, ``_v``, ``_w``.  Every Graph is checked
+    when built: a row of another length, n < 0 or n > `MAX_VERTICES`
+    raises `GraphError`; the first edge with an endpoint
     outside 0..n-1, a self-loop, a weight not finite and > 0, or an earlier
     edge's unordered pair raises `EdgeError`, naming the first rule it breaks.
     """
@@ -54,7 +55,11 @@ class Graph:
     _decomposition: object = None
 
     def __init__(self, n: int, edges):
-        self._store(n, *([row[i] for row in edges] for i in range(3)))
+        rows = [tuple(row) if np.iterable(row) else (row,) for row in edges]  # one pass: a generator works
+        for e, row in enumerate(rows):
+            if len(row) not in (2, 3):
+                raise GraphError(f"row {e} is not (u, v) or (u, v, w): {row!r}")
+        self._store(n, *([(*row, 1.0)[i] for row in rows] for i in range(3)))
 
     @classmethod
     def _from_arrays(cls, n: int, u, v, w) -> "Graph":
@@ -156,11 +161,12 @@ class Graph:
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
         weights = self._w.copy()
-        weights[e] = float(w)
+        weights[_require_index(e, self.m, "edge")] = float(w)
         return Graph._from_arrays(self.n, self._u, self._v, weights)
 
     def without_edge(self, e: int) -> "Graph":
         """Copy with edge e removed; later edges shift down by one index."""
+        e = _require_index(e, self.m, "edge")
         return Graph._from_arrays(self.n, *(np.delete(x, e) for x in (self._u, self._v, self._w)))
 
     def with_edges_added(self, new_edges) -> "Graph":
@@ -168,19 +174,6 @@ class Graph:
         rows = [(u, v, w) for u, v, w in new_edges]  # np.append keeps an int beyond int64 as given
         columns = (np.append(x, [row[i] for row in rows]) for i, x in enumerate((self._u, self._v, self._w)))
         return Graph._from_arrays(self.n, *columns)
-
-
-def build_graph(n: int, edges) -> Graph:
-    """A Graph from rows (u, v) or (u, v, w), coerced to (int, int, float); w defaults to 1.0."""
-    return Graph(n, tuple((int(u), int(v), float(rest[0]) if rest else 1.0) for u, v, *rest in edges))
-
-
-def connected_components(g: Graph) -> list[set[int]]:
-    """Partition of vertices by connectivity, ordered by smallest member."""
-    label = _labels(g)
-    _, sizes = np.unique(label, return_counts=True)  # ascending roots: by smallest member
-    groups = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]) if g.n else []
-    return [set(c.tolist()) for c in groups]
 
 
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -241,11 +234,21 @@ def require_connected(g: Graph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
+def _integer_in(x, lo: int, hi: int) -> bool:
+    """Whether x is an int or numpy integer, not a bool, in lo..hi: the library's one index rule."""
+    return not isinstance(x, (bool, np.bool_)) and isinstance(x, (int, np.integer)) and lo <= x <= hi
+
+
+def _require_index(i, count: int, what: str) -> int:
+    """i as a Python int, if it is an index in 0..count-1 (`_integer_in`)."""
+    if not _integer_in(i, 0, count - 1):
+        raise GraphError(f"{what} {i!r} is not an integer in 0..{count - 1}")
+    return int(i)
+
+
 def require_vertex(g: Graph, v) -> int:
     """v as a Python int, if it is an integer vertex index in 0..n-1."""
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or not 0 <= v < g.n:
-        raise GraphError(f"vertex {v!r} is not an integer in 0..{g.n - 1}")
-    return int(v)
+    return _require_index(v, g.n, "vertex")
 
 
 def require_seed(seed) -> int:
@@ -342,11 +345,12 @@ def cut_from_side(g: Graph, side) -> Cut:
 
     ratio = n * |E(S, V\\S)| / (|S| * (n - |S|)).
     """
+    side = list(side)
+    if not all(_integer_in(v, 0, g.n - 1) for v in side):
+        raise GraphError("cut side contains an invalid vertex")
     S = frozenset(int(v) for v in side)
     if not S or len(S) >= g.n:
         raise GraphError("cut side must be a proper nonempty vertex subset")
-    if any(v < 0 or v >= g.n for v in S):
-        raise GraphError("cut side contains an invalid vertex")
     inside = np.zeros(g.n, dtype=bool)
     inside[list(S)] = True
     crossing = tuple(np.flatnonzero(inside[g._u] != inside[g._v]).tolist())

@@ -174,12 +174,12 @@ def _check_flow_identity(g: Graph):
     column sums against D_{2k-1}(s, t)^2; at k=1 its absolute row sums against C_e / sqrt(w_e)."""
     dec = harmonic.decomposition(g)
     pairs = np.triu_indices(g.n, 1)
-    squared = flow.squared_flow_centrality(g, dec).values
+    squared = flow.squared_flow_centrality(g).values
     sides = [(np.sum(squared), harmonic.total_resistance(g, dec))]
     for k in (0.5, 1.0, 2.0):
         D = _pair_differences(_flow_matrix(g, dec, k))
         if k == 1.0:
-            sides.append((flow.current_flow_centrality(g, dec).values, np.sqrt(g.weights) * np.sum(np.abs(D), axis=1)))
+            sides.append((flow.current_flow_centrality(g).values, np.sqrt(g.weights) * np.sum(np.abs(D), axis=1)))
         D *= D
         edge_sums = squared if k == 1.0 else g.n * g.weights * harmonic.edge_kharmonic_sq(g, 2 * k, dec).values
         pair_sums = harmonic.kharmonic_sq_matrix(g, 2 * k - 1, dec)[pairs]
@@ -257,13 +257,12 @@ def _check_sparse_cut(g: Graph):
 def _sweep_cut_reference(g: Graph, x) -> Cut:
     """Level-by-level oracle for `cluster.sweep_cut`: one full cut per
     distinct threshold, O(levels * m)."""
-    x = cluster._sweep_levels(g, x)
-    levels = np.unique(x, return_inverse=True)[0]  # a plain np.unique imports numpy.ma, about 10 ms cold
-    if len(levels) < 2:
+    level = cluster._sweep_levels(g, x)
+    if not level.any():
         raise GraphError("sweep vector is constant")
     best: Cut | None = None
-    for t in levels[1:]:  # threshold at the minimum would select all of V
-        cut = cut_from_side(g, np.nonzero(x >= t)[0])
+    for t in range(1, level.max() + 1):  # threshold at level 0 would select all of V
+        cut = cut_from_side(g, np.nonzero(level >= t)[0])
         if (
             best is None
             or cut.ratio < best.ratio
@@ -342,8 +341,8 @@ def _check_potentials(g: Graph):
     sides = []
     for _ in range(5):
         s, t = (int(x) for x in rng.choice(g.n, size=2, replace=False))
-        p = flow.st_potential(g, s, t, dec).values
-        f = flow.st_flow(g, s, t, dec)
+        p = flow.st_potential(g, s, t).values
+        f = flow.st_flow(g, s, t)
         r = harmonic.effective_resistance(g, s, t, dec)
         target = np.zeros(g.n)
         target[s], target[t] = 1.0, -1.0
@@ -417,8 +416,8 @@ def _check_spectral_reads(g: Graph):
         if k == 1.0:
             F = _flow_matrix(g, dec, 1.0) * np.sqrt(g.weights)[:, None]
             for s, t in pairs:
-                sides.append((flow.st_potential(g, s, t, dec).values, M[:, s] - M[:, t]))
-                sides.append((flow.st_flow(g, s, t, dec).values, F[:, s] - F[:, t]))
+                sides.append((flow.st_potential(g, s, t).values, M[:, s] - M[:, t]))
+                sides.append((flow.st_flow(g, s, t).values, F[:, s] - F[:, t]))
     return _sides(*sides)
 
 

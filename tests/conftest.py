@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphharm import generators
-from graphharm.graph import Graph, build_graph
+from graphharm.graph import Graph
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def k4():
 @pytest.fixture
 def barbell():
     # two triangles joined by a single bridge edge
-    return build_graph(
+    return Graph(
         6,
         [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
          (2, 3, 1.0),

@@ -10,7 +10,7 @@ import pytest
 import graphharm
 from graphharm import generators, io
 from graphharm.cli import main
-from graphharm.graph import build_graph
+from graphharm.graph import Graph
 
 
 @pytest.fixture
@@ -225,7 +225,7 @@ def test_meta_records_the_requested_thread_cap(tmp_path):
 def test_centrality_ranks_do_not_depend_on_the_thread_count(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(graphharm.__file__).resolve().parent.parent)
-    cycle = build_graph(400, [(i, (i + 1) % 400) for i in range(400)])
+    cycle = Graph(400, [(i, (i + 1) % 400) for i in range(400)])
     for name, g, measure in (("tree", generators.balanced_tree(3, 5), "biharmonic2"), ("cycle", cycle, "current-flow")):
         io.save_edge_list(g, tmp_path / f"{name}.txt")
         tables = []

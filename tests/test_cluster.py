@@ -13,7 +13,7 @@ from graphharm.cluster import (
     spectral_clustering,
     sweep_cut,
 )
-from graphharm.graph import GraphError, build_graph
+from graphharm.graph import Graph, GraphError
 
 
 def _two_blobs(seed=0):
@@ -46,6 +46,12 @@ def test_kmeans_is_deterministic():
 def test_kmeans_rejects_points_without_finite_distances(points, message):
     with pytest.raises(GraphError, match=message):
         kmeans(points, 2, 0)
+
+
+@pytest.mark.parametrize("c", [0, 5, 2.5, True])
+def test_kmeans_rejects_a_cluster_count_outside_1_to_n(c):
+    with pytest.raises(GraphError, match=rf"^cannot form c={c} clusters from 4 points$"):
+        kmeans([[0.0], [1.0], [2.0], [3.0]], c, 0)
 
 
 def test_kmeans_handles_more_clusters_than_natural():
@@ -164,7 +170,7 @@ def test_girvan_newman_scores_a_split_graph(measure):
     # bridge goes, the second is found by scoring each component on its own
     tri = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
     edges = [(u + 3 * b, v + 3 * b, w) for b in range(3) for u, v, w in tri]
-    g = build_graph(9, edges + [(2, 3, 1.0), (5, 6, 1.0)])
+    g = Graph(9, edges + [(2, 3, 1.0), (5, 6, 1.0)])
     res = girvan_newman(g, 3, measure=measure, k=2.5)
     assert res.c == 3
     assert res.assignment.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
@@ -202,7 +208,7 @@ def test_girvan_newman_pinned_on_sbm(sbm_args, measure, expected):
 
 def _weighted_tree():
     rng = np.random.default_rng(3)
-    return build_graph(12, [(int(rng.integers(0, v)), v, float(rng.uniform(0.1, 10.0))) for v in range(1, 12)])
+    return Graph(12, [(int(rng.integers(0, v)), v, float(rng.uniform(0.1, 10.0))) for v in range(1, 12)])
 
 
 def _heavy_edge_beside_light_path():
@@ -211,7 +217,7 @@ def _heavy_edge_beside_light_path():
     # score highest and go first, so (0, 5) is a bridge by its turn.
     clique = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
     edges = clique + [(u + 5, v + 5, w) for u, v, w in clique]
-    return build_graph(12, edges + [(0, 5, 1.0), (1, 10, 2e-9), (10, 11, 1.0), (11, 6, 2e-9)])
+    return Graph(12, edges + [(0, 5, 1.0), (1, 10, 2e-9), (10, 11, 1.0), (11, 6, 2e-9)])
 
 
 @pytest.mark.parametrize(
@@ -267,7 +273,7 @@ def test_girvan_newman_rejects_unknown_measure(barbell):
         girvan_newman(barbell, 2, measure="resistance")
 
 
-@pytest.mark.parametrize("c", [0, -1, 7])
+@pytest.mark.parametrize("c", [0, -1, 7, 2.5, True])
 def test_girvan_newman_rejects_a_cluster_count_outside_1_to_n(barbell, c):
     with pytest.raises(GraphError, match=rf"^cannot form c={c} clusters on 6 vertices$"):
         girvan_newman(barbell, c)
@@ -284,6 +290,12 @@ def test_sweep_cut_finds_sparse_cut(barbell):
     cut = sweep_cut(barbell, pot.values)
     assert cut.crossing_edges == (3,)
     assert cut.ratio == pytest.approx(6 / 9)
+
+
+def test_sweep_levels_keep_a_tie_across_a_rounding_midpoint():
+    # a and its successor differ by rounding only, yet round to different 9-decimal levels
+    a = 0.5064765465
+    assert sweep_cut(generators.path(4), [0.0, a, np.nextafter(a, 2), 1.0]).side == {1, 2, 3}
 
 
 def test_sweep_cut_rejects_non_finite(barbell):

@@ -11,7 +11,7 @@ import pytest
 
 import graphharm
 from graphharm import generators, io
-from graphharm.graph import EdgeError, build_graph, connected_subgraph
+from graphharm.graph import EdgeError, Graph, connected_subgraph
 
 _POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [3.0, 1.0], [0.0, 2.0]])
 
@@ -22,14 +22,14 @@ def _loaded(tmp_path, text):
     return io.load_edge_list(path)
 
 
-# name -> (graph made in tmp_path, n, the rows build_graph takes for it)
+# name -> (graph made in tmp_path, n, the rows Graph takes for it)
 DERIVED = {
     "without_edge": (lambda tmp: generators.path(4).without_edge(1), 4, [(0, 1), (2, 3)]),
     "with_weight": (lambda tmp: generators.path(3).with_weight(1, 2.5), 3, [(0, 1), (1, 2, 2.5)]),
     "with_edges_added": (lambda tmp: generators.path(3).with_edges_added([(2, 0, 0.5)]), 3,
                          [(0, 1), (1, 2), (2, 0, 0.5)]),
     "connected_subgraph": (
-        lambda tmp: connected_subgraph(build_graph(6, [(4, 1, 2.0), (0, 5), (1, 3, 0.5), (5, 2)]),
+        lambda tmp: connected_subgraph(Graph(6, [(4, 1, 2.0), (0, 5), (1, 3, 0.5), (5, 2)]),
                                        np.array([1, 3, 4]), np.array([0, 2])),
         3, [(2, 0, 2.0), (0, 1, 0.5)]),
     "complete": (lambda tmp: generators.complete(4), 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
@@ -48,7 +48,7 @@ DERIVED = {
 
 @pytest.mark.parametrize("make, n, rows", DERIVED.values(), ids=DERIVED)
 def test_every_graph_is_the_checked_store_of_its_rows(make, n, rows, tmp_path):
-    g, expect = make(tmp_path), build_graph(n, rows)
+    g, expect = make(tmp_path), Graph(n, rows)
     assert g == expect and hash(g) == hash(expect) and repr(g) == repr(expect)
     assert (g._u.dtype, g._v.dtype, g._w.dtype) == (np.int64, np.int64, np.float64)
     for x in (g._u, g._v, g._w):
@@ -58,13 +58,12 @@ def test_every_graph_is_the_checked_store_of_its_rows(make, n, rows, tmp_path):
 
 @pytest.mark.parametrize("make, message", [
     (lambda p3: p3.with_weight(1, 0.0), "edge 1 (1,2): weight must be positive, got 0.0"),
-    (lambda p3: p3.with_weight(-1, float("nan")), "edge 1 (1,2): weight must be positive, got nan"),
     (lambda p3: p3.with_edges_added([(0, 2, 1.0), (0, 2**70, 1.0)]),
      "edge 3 (0,1180591620717411303424): endpoint out of range 0..2"),
     (lambda p3: p3.with_edges_added([(2, 1, 1.0)]), "edge 2 (2,1): duplicate edge"),
     (lambda p3: connected_subgraph(p3, np.array([0, 1]), np.array([0, 1])),
      "edge 1 (1,2): endpoint out of range 0..1"),
-], ids=["weight", "negative-index", "beyond-int64", "duplicate", "subgraph"])
+], ids=["weight", "beyond-int64", "duplicate", "subgraph"])
 def test_an_illegal_derivation_raises_the_edge_error(p3, make, message):
     with pytest.raises(EdgeError) as info:
         make(p3)

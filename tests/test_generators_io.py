@@ -3,7 +3,7 @@ import pytest
 
 from graphharm import generators, io
 from graphharm.generators import GenerationError
-from graphharm.graph import GraphError, build_graph, is_connected
+from graphharm.graph import Graph, GraphError, is_connected
 from graphharm.io import ParseError
 
 
@@ -107,7 +107,7 @@ def _per_pair_sample(labels, p_in, p_out, seed):
             for v in range(u + 1, n):
                 if rng.random() < (p_in if labels[u] == labels[v] else p_out):
                     edges.append((u, v, 1.0))
-        g = build_graph(n, edges)
+        g = Graph(n, edges)
         if is_connected(g):
             return g
     raise AssertionError("no connected reference sample")

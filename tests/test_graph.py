@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,11 @@ from graphharm.graph import (
     Graph,
     GraphError,
     MAX_VERTICES,
-    build_graph,
     bridges,
     component_labels,
-    connected_components,
     connected_subgraph,
     cut_from_side,
+    _labels,
     is_connected,
     require_points,
     require_connected,
@@ -25,24 +25,24 @@ from graphharm.graph import (
 
 def test_build_rejects_self_loop():
     with pytest.raises(GraphError, match="self-loop"):
-        build_graph(3, [(0, 0, 1.0), (0, 1, 1.0)])
+        Graph(3, [(0, 0, 1.0), (0, 1, 1.0)])
 
 
 def test_build_rejects_duplicate_unordered():
     with pytest.raises(GraphError, match="duplicate"):
-        build_graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
+        Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
 
 def test_build_rejects_bad_endpoint():
     with pytest.raises(GraphError, match="endpoint"):
-        build_graph(3, [(0, 3, 1.0)])
+        Graph(3, [(0, 3, 1.0)])
 
 
 def test_build_rejects_nonpositive_weight():
     with pytest.raises(GraphError, match="weight"):
-        build_graph(3, [(0, 1, 0.0)])
+        Graph(3, [(0, 1, 0.0)])
     with pytest.raises(GraphError, match="weight"):
-        build_graph(3, [(0, 1, -2.0)])
+        Graph(3, [(0, 1, -2.0)])
 
 
 def _reference_build(n, edges):
@@ -102,9 +102,8 @@ def test_constructor_checks_each_rule(edges, edge, message):
 
 
 def test_constructor_rejects_negative_vertex_count():
-    for build in (Graph, build_graph):
-        with pytest.raises(GraphError, match="vertex count must be nonnegative, got -1"):
-            build(-1, ())
+    with pytest.raises(GraphError, match="vertex count must be nonnegative, got -1"):
+        Graph(-1, ())
 
 
 def test_constructor_rejects_a_vertex_count_beyond_the_key_range():
@@ -163,7 +162,7 @@ def test_constructor_reports_what_the_reference_loop_reports():
     for seed in range(400):
         n, edges = _malformed(np.random.default_rng(seed))
         expect = _outcome(_reference_build, n, edges)
-        assert _outcome(build_graph, n, edges) == expect
+        assert _outcome(Graph, n, edges) == expect
         full = tuple((u, v, rest[0] if rest else 1.0) for u, v, *rest in edges)
         assert _outcome(Graph, n, full) == expect
         if isinstance(expect[0], type):
@@ -235,33 +234,22 @@ def test_degrees_and_adjacency(p3):
 
 
 def test_connected_components_splits():
-    g = build_graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    comps = connected_components(g)
-    assert comps == [{0, 1}, {2, 3, 4}]
+    g = Graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    assert _labels(g).tolist() == _plain_labels(g) == [0, 0, 2, 2, 2]
     assert not is_connected(g)
     with pytest.raises(DisconnectedGraphError):
         require_connected(g)
-
-
-def test_connected_components_returns_fresh_sets():
-    g = build_graph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    comps = connected_components(g)
-    comps[0].add(4)
-    comps[1].clear()
-    comps.append({99})
-    assert connected_components(g) == [{0, 1}, {2, 3, 4}]
-    assert not is_connected(g)
 
 
 def test_connected_subgraph_relabels_in_order():
     # components {0, 2, 5, 7} and {1, 4, 6} with interleaved edges, and an
     # isolated vertex 3
     edges = [(5, 0, 1.0), (6, 1, 2.0), (2, 7, 3.0), (4, 1, 0.5), (0, 2, 1.5), (7, 5, 1.0)]
-    g = build_graph(8, edges)
-    comps = connected_components(g)
+    g = Graph(8, edges)
     label = component_labels(g.n, g._u, g._v)
-    ids = [np.flatnonzero(label[g._u] == min(comp)) for comp in comps]
-    parts = [connected_subgraph(g, np.array(sorted(comp)), x) for comp, x in zip(comps, ids)]
+    roots = np.flatnonzero(label == np.arange(g.n))
+    ids = [np.flatnonzero(label[g._u] == r) for r in roots]
+    parts = [connected_subgraph(g, np.flatnonzero(label == r), x) for r, x in zip(roots, ids)]
     assert [sub.n for sub in parts] == [4, 3, 1]
     assert [x.tolist() for x in ids] == [[0, 2, 4, 5], [1, 3], []]
     assert parts[0].edges == ((2, 0, 1.0), (1, 3, 3.0), (0, 1, 1.5), (3, 2, 1.0))
@@ -271,9 +259,24 @@ def test_connected_subgraph_relabels_in_order():
         # the labels are preset, and equal what a fresh search finds
         assert sub._labels is not None
         assert np.array_equal(sub._labels, component_labels(sub.n, sub._u, sub._v))
-        assert connected_components(build_graph(sub.n, sub.edges)) == [set(range(sub.n))]
+        assert is_connected(Graph(sub.n, sub.edges))
     p4 = generators.path(4)
     assert connected_subgraph(p4, np.arange(4), np.arange(3)).edges == p4.edges
+
+
+def test_constructor_reads_rows_of_two_or_three_fields_once():
+    rows = [(0, 1), (1, 2, 2.5)]
+    assert Graph(3, iter(rows)) == Graph(3, rows) == Graph(3, [(0, 1, 1.0), (1, 2, 2.5)])
+    for bad in ((0,), (0, 1, 1.0, 7), 5):
+        with pytest.raises(GraphError, match=r"^row 1 is not \(u, v\) or \(u, v, w\)"):
+            Graph(3, [(0, 1), bad])
+
+
+@pytest.mark.parametrize("e", [-1, 2, 1.5, True])
+def test_edge_index_must_be_an_integer_in_0_to_m_minus_1(p3, e):
+    for derive in (p3.without_edge, lambda e: p3.with_weight(e, 2.0)):
+        with pytest.raises(GraphError, match=rf"^edge {re.escape(repr(e))} is not an integer in 0\.\.1$"):
+            derive(e)
 
 
 def test_with_weight_and_without_edge(p3):
@@ -299,7 +302,7 @@ def test_tree_is_all_bridges():
 
 
 def test_cycle_has_no_bridges():
-    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     assert bridges(g) == []
 
 
@@ -322,6 +325,15 @@ def _plain_components(g):
                     queue.append(y)
         comps.append(comp)
     return comps
+
+
+def _plain_labels(g):
+    """Each vertex's smallest component member, from `_plain_components`."""
+    label = [0] * g.n
+    for comp in _plain_components(g):
+        for x in comp:
+            label[x] = min(comp)
+    return label
 
 
 def _brute_bridges(g):
@@ -347,14 +359,14 @@ def _random_forest(n, rng):
 def test_components_and_bridges_match_plain_search(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
-    forest = build_graph(n, _random_forest(n, rng))
+    forest = Graph(n, _random_forest(n, rng))
     assert bridges(forest) == list(range(forest.m))
     # a few extra edges close cycles over parts of the forest
     extra = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(seed % 5, 2)) if a != b}
     extra -= {(min(u, v), max(u, v)) for u, v, _ in forest.edges}
-    sparse = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n])
+    sparse = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n])
     for g in (forest, forest.with_edges_added([(a, b, 1.0) for a, b in sorted(extra)]), sparse):
-        assert connected_components(g) == _plain_components(g)
+        assert component_labels(g.n, g._u, g._v).tolist() == _plain_labels(g)
         assert bridges(g) == _brute_bridges(g)
 
 
@@ -381,6 +393,7 @@ def test_cut_from_side_matches_the_edge_loop(seed):
 
 @pytest.mark.parametrize("side, message", [
     ([], "proper nonempty"), (range(6), "proper nonempty"), ([0, 6], "invalid vertex"), ([-1], "invalid vertex"),
+    ([0.5], "invalid vertex"), ([True], "invalid vertex"),
 ])
 def test_cut_from_side_rejects_improper_sides(barbell, side, message):
     with pytest.raises(GraphError, match=message):
@@ -388,8 +401,8 @@ def test_cut_from_side_rejects_improper_sides(barbell, side, message):
 
 
 def test_memoised_decomposition_leaves_equality_and_repr_alone():
-    a = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    b = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    a = Graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    b = Graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
     harmonic.decomposition(a)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "Graph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))"

@@ -1,11 +1,13 @@
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphharm
 from graphharm import cluster, flow, generators, harmonic, spectra, validate
-from graphharm.graph import GraphError, build_graph
+from graphharm.graph import Graph, GraphError
 from graphharm.harmonic import (
     EdgeScores,
     biharmonic_distance,
@@ -154,7 +156,7 @@ def test_top_of_ties_is_the_first_index_of_the_top_tie_group():
 
 def _bowtie(w):
     # two triangles sharing vertex 2, edge (2, 4) of weight w
-    return build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4, w)])
+    return Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4, w)])
 
 
 def test_unresolved_spectrum_names_both_counts_and_the_weight_ratio():
@@ -234,13 +236,19 @@ def test_decomposition_of_another_graph_is_rejected():
             lambda: total_resistance(g, dec),
             lambda: edge_kharmonic_sq(g, 2.0, dec),
             lambda: kharmonic_sq_matrix(g, 1.0, dec),
-            lambda: flow.st_potential(g, 1, 2, dec),
-            lambda: flow.current_flow_centrality(g, dec),
-            lambda: cluster.kharmonic_kmeans(g, 2, 2.0, 0, dec),
         )
         for call in calls:
             with pytest.raises(GraphError, match="decomposition is of a graph on"):
                 call()
+
+
+def test_only_harmonic_readers_take_a_decomposition():
+    # flow and cluster read the decomposition memoised on g; every exported name resolves
+    for module in (flow, cluster):
+        for name, fn in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                assert "dec" not in inspect.signature(fn).parameters, f"{module.__name__}.{name}"
+    assert all(hasattr(graphharm, name) for name in graphharm.__all__)
 
 
 @pytest.mark.parametrize("k", [80.0, float("nan")])
