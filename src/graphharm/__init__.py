@@ -23,7 +23,6 @@ from .graph import (  # noqa: E402
     DisconnectedGraphError,
     Graph,
     GraphError,
-    bridges,
     cut_from_side,
     is_connected,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "DisconnectedGraphError",
     "Graph",
     "GraphError",
-    "bridges",
     "cut_from_side",
     "is_connected",
     "generators",

@@ -75,7 +75,7 @@ def _meta(args, subcommand: str, extra: dict | None = None) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "output", "labels_out", "plot") and not k.startswith("_")
+        if k not in ("func", "output", "labels_out") and not k.startswith("_")
     }
     meta = {
         "subcommand": subcommand,
@@ -106,11 +106,6 @@ def _write_rows(fh, cols, template: str, sep: str) -> None:
         fh.write((sep if lo else "") + sep.join([template] * (len(flat) // len(cols))) % flat)
 
 
-def _write_csv(fh, table: dict) -> None:
-    fh.write(",".join(table) + "\n")
-    _write_rows(fh, list(table.values()), ",".join(["%s"] * len(table)) + "\n", "")
-
-
 def _write_json(fh, payload: dict | list, table: dict | None, key: str | None) -> None:
     """json.dumps(payload, indent=2, sort_keys=True) + newline, with payload[key]
     the rows of `table` as objects, written without building them."""
@@ -136,7 +131,8 @@ def _emit(payload: dict | list, args, table: dict | None = None, key: str | None
     path = getattr(args, "output", None)
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         if csv:
-            _write_csv(fh, table)
+            fh.write(",".join(table) + "\n")
+            _write_rows(fh, list(table.values()), ",".join(["%s"] * len(table)) + "\n", "")
         else:
             _write_json(fh, payload, table, key)
 
@@ -182,10 +178,6 @@ def cmd_distances(args):
 def cmd_centrality(args):
     g = io.load_edge_list(args.graph)
     scores = flow.edge_measure(g, args.measure, args.k)
-    if args.plot:
-        ranking = scores.ranking
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            _write_csv(fh, {"rank": np.arange(g.m), "edge_index": ranking, "score": scores.values[ranking]})
     table = {"index": np.arange(g.m), "u": g._u, "v": g._v, "score": scores.values, "rank": scores.ranks}
     _emit({"meta": _meta(args, "centrality", {"measure": args.measure})}, args, table, "edges")
 
@@ -199,7 +191,7 @@ def _load_scores_file(path) -> tuple[harmonic.EdgeScores, list[tuple[int, int]]]
         keys = [(min(e["u"], e["v"]), max(e["u"], e["v"])) for e in edges]
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, 0, f"not a scores JSON file ({exc})")
-    return harmonic.EdgeScores(vals, "loaded"), keys
+    return harmonic.EdgeScores(vals), keys
 
 
 def cmd_compare(args):
@@ -271,8 +263,7 @@ def _mean_ci95(purities: list) -> tuple[float, float | None]:
 
 
 def _cluster_k_sweep(g, args, labels, seeds):
-    """--k-grid: purity-vs-k table, written to --plot as CSV (the same
-    text that --out csv emits)."""
+    """--k-grid: the purity-vs-k table."""
     if labels is None:
         raise UsageError("--k-grid requires --labels to evaluate purity")
     means, cis = [], []
@@ -282,9 +273,6 @@ def _cluster_k_sweep(g, args, labels, seeds):
         means.append(mean)
         cis.append(0.0 if ci is None else ci)
     table = {"k": np.array(args.k_grid), "purity": np.array(means), "ci95": np.array(cis)}
-    if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            _write_csv(fh, table)
     _emit({"meta": _meta(args, "cluster", {"algo": args.algo})}, args, table, "sweep")
 
 
@@ -341,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--measure", required=True, choices=flow.MEASURES)
     p.add_argument("--k", type=float, default=None)
-    p.add_argument("--plot", help="write rank,score CSV to this path")
     common_output(p)
     p.set_defaults(func=cmd_centrality)
 
@@ -375,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_comma_list(_seed), help="comma list of seeds; emits mean purity and 95%% CI")
     p.add_argument("--labels", help="CSV with a label column for purity")
     p.add_argument("--k-grid", dest="k_grid", type=_comma_list(float), help="comma list of k values to sweep")
-    p.add_argument("--plot", help="write purity-vs-k CSV here (with --k-grid)")
     common_output(p)
     p.set_defaults(func=cmd_cluster)
 

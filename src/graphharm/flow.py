@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, spectra
-from .graph import Graph, GraphError, csr_adjacency, require_connected, require_seed, require_vertex
+from .graph import Graph, GraphError, _integer_in, csr_adjacency, require_connected, require_seed, require_vertex
 from .harmonic import EdgeScores
 
 
@@ -49,32 +49,13 @@ def st_flow(g: Graph, s: int, t: int) -> Flow:
     return Flow(s, t, g._w * (p[g._u] - p[g._v]))
 
 
-_CERTIFICATE_TOL = 1e-8
-
-
-def min_norm_certificate(g: Graph, f: Flow) -> bool:
-    """Check f is the minimum-energy flow for its divergence.
-
-    The electrical flow is the one flow of its divergence that obeys
-    Kirchhoff's voltage law: f/w is a potential difference boundary^T p.
-    The least-squares p leaves a residual that is the component of f/w
-    along the circulations, so its norm is the exact worst case of
-    <c, f/w> over unit circulations c.
-    """
-    target = f.values / g.weights
-    Bt = g.boundary().T
-    p = np.linalg.lstsq(Bt, target, rcond=None)[0]
-    return bool(np.linalg.norm(Bt @ p - target) <= _CERTIFICATE_TOL * max(1.0, float(np.linalg.norm(target))))
-
-
 def squared_flow_centrality(g: Graph) -> EdgeScores:
     """Per edge, sum over unordered pairs of f_st(e)^2 / w_e.
 
     That sum is n * w_e * B_e^2, read off the biharmonic edge scores in
     O(m n); `validate` checks it against the pair sum itself.
     """
-    b_sq = harmonic.biharmonic_edge_sq(g).values
-    return EdgeScores(g.n * g._w * b_sq, "sum f_st(e)^2/w_e")
+    return EdgeScores(g.n * g._w * harmonic.biharmonic_edge_sq(g).values)
 
 
 def current_flow_centrality(g: Graph) -> EdgeScores:
@@ -94,7 +75,7 @@ def current_flow_centrality(g: Graph) -> EdgeScores:
         F *= g._w[lo:lo + step, None]
         F.sort(axis=1)
         out[lo:lo + step] = F @ coeffs
-    return EdgeScores(out, "C_e")
+    return EdgeScores(out)
 
 
 # A block of BFS sources in edge_betweenness spans about this many entries
@@ -121,7 +102,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
     require_connected(g)
     n, m = g.n, g.m
     if m == 0:
-        return EdgeScores(np.zeros(0), "betweenness")
+        return EdgeScores(np.zeros(0))
     indptr, heads, edge_ids = csr_adjacency(g)
     deg = np.diff(indptr)
     hop = heads - np.repeat(np.arange(n), deg)  # key change along each arc
@@ -159,7 +140,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
             shares.append(share)
         arcs = np.concatenate([arc for _, _, arc in reversed(dag)])
         scores += np.bincount(edge_ids[arcs], np.concatenate(shares), minlength=m)
-    return EdgeScores(scores / 2.0, "betweenness")
+    return EdgeScores(scores / 2.0)
 
 
 def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
@@ -243,9 +224,9 @@ def resilience_experiment(
     (`measure_k` 1 or 2) adds to its scores the change that one
     rank-`num_added` Woodbury update makes (`spectra.pinv_update_reads`),
     O(n^2 a + m a) from g's eigenvectors; any other measure is recomputed
-    on the perturbed graph.  num_added and trials must be at least 1.
+    on the perturbed graph.  num_added and trials must be integers of at least 1.
     """
-    if num_added < 1 or trials < 1:
+    if not (_integer_in(num_added, 1, np.inf) and _integer_in(trials, 1, np.inf)):
         raise GraphError(f"need num_added >= 1 and trials >= 1, got {num_added} and {trials}")
     require_connected(g)
     original = edge_measure(g, measure, k)
@@ -261,5 +242,5 @@ def resilience_experiment(
             values = original.values + spectra.pinv_update_reads(dec, hk, s, t, w, g._u, g._v)
         else:
             values = edge_measure(g.with_edges_added(extra), measure, k).values[: g.m]
-        out.append(spearman(original, EdgeScores(values, original.meaning)))
+        out.append(spearman(original, EdgeScores(values)))
     return out

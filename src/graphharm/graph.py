@@ -21,9 +21,9 @@ class DisconnectedGraphError(GraphError):
 
 
 class EdgeError(GraphError):
-    """An edge that breaks a rule of `Graph`; carries its index."""
+    """An edge that breaks a rule of `Graph`; carries its index.  Its endpoints print as given."""
 
-    def __init__(self, e: int, u: int, v: int, message: str):
+    def __init__(self, e: int, u, v, message: str):
         super().__init__(f"edge {e} ({u},{v}): {message}")
         self.edge = e
 
@@ -40,9 +40,9 @@ class Graph:
     ``Graph(n, rows)`` fixes the index and orientation of edge e, kept only
     in the read-only arrays ``_u``, ``_v``, ``_w``.  Every Graph is checked
     when built: a row of another length, n < 0 or n > `MAX_VERTICES`
-    raises `GraphError`; the first edge with an endpoint
-    outside 0..n-1, a self-loop, a weight not finite and > 0, or an earlier
-    edge's unordered pair raises `EdgeError`, naming the first rule it breaks.
+    raises `GraphError`; the first edge with an endpoint not an integer in
+    0..n-1, a self-loop, a weight not finite and > 0, or an earlier edge's
+    unordered pair raises `EdgeError`, naming the first rule it breaks.
     """
 
     n: int
@@ -55,11 +55,7 @@ class Graph:
     _decomposition: object = None
 
     def __init__(self, n: int, edges):
-        rows = [tuple(row) if np.iterable(row) else (row,) for row in edges]  # one pass: a generator works
-        for e, row in enumerate(rows):
-            if len(row) not in (2, 3):
-                raise GraphError(f"row {e} is not (u, v) or (u, v, w): {row!r}")
-        self._store(n, *([(*row, 1.0)[i] for row in rows] for i in range(3)))
+        self._store(n, *_columns(edges))
 
     @classmethod
     def _from_arrays(cls, n: int, u, v, w) -> "Graph":
@@ -73,26 +69,23 @@ class Graph:
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the largest supported, {MAX_VERTICES}")
         given = u, v  # an error names the endpoints as given
-        try:
-            u, v = (np.asarray(x, dtype=np.int64) for x in given)
-        except OverflowError:  # an endpoint beyond int64 is out of range: clip it to -1 or n
-            u, v = (np.array([min(max(int(a), -1), n) for a in x], dtype=np.int64) for x in given)
+        (u, frac_u), (v, frac_v) = (_endpoints(x, n) for x in given)
         w = np.asarray(w, dtype=np.float64)
         # one mask per rule, in reporting order; a duplicate repeats an earlier key lo*n + hi
-        # (a key shared via an out-of-range endpoint marks nothing before the first bad edge)
+        # (a key shared via a bad endpoint marks nothing before the first bad edge)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         key = lo * n + hi
         order = np.argsort(key, kind="stable")
         duplicate = np.zeros(len(key), dtype=bool)
         duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-        rules = np.stack([(lo < 0) | (hi >= n), u == v, ~(np.isfinite(w) & (w > 0)), duplicate])
+        rules = np.stack([frac_u | frac_v, (lo < 0) | (hi >= n), u == v, ~(np.isfinite(w) & (w > 0)), duplicate])
         bad = np.flatnonzero(rules.any(axis=0))
         if bad.size:
             e = int(bad[0])
             rule = int(np.argmax(rules[:, e]))
-            message = (f"endpoint out of range 0..{n - 1}", "self-loop",
+            message = ("endpoint is not an integer", f"endpoint out of range 0..{n - 1}", "self-loop",
                        f"weight must be positive, got {w[e]}", "duplicate edge")[rule]
-            raise EdgeError(e, int(given[0][e]), int(given[1][e]), message)
+            raise EdgeError(e, given[0][e], given[1][e], message)
         object.__setattr__(self, "n", n)
         for name, x in (("_u", u), ("_v", v), ("_w", w)):
             x.setflags(write=False)
@@ -170,10 +163,33 @@ class Graph:
         return Graph._from_arrays(self.n, *(np.delete(x, e) for x in (self._u, self._v, self._w)))
 
     def with_edges_added(self, new_edges) -> "Graph":
-        """Copy with extra edges appended; existing indices are preserved."""
-        rows = [(u, v, w) for u, v, w in new_edges]  # np.append keeps an int beyond int64 as given
-        columns = (np.append(x, [row[i] for row in rows]) for i, x in enumerate((self._u, self._v, self._w)))
+        """Copy with the rows (u, v, w) or (u, v), of weight 1.0, appended; existing indices are preserved."""
+        columns = (np.append(x, col) for x, col in zip((self._u, self._v, self._w), _columns(new_edges)))
         return Graph._from_arrays(self.n, *columns)
+
+
+def _columns(rows) -> list[list]:
+    """The u, v and w columns of rows (u, v, w) or (u, v), of weight 1.0, read in one pass (a generator
+    works); a row of another length raises `GraphError`.  The one row reader of `Graph`."""
+    rows = [tuple(row) if np.iterable(row) else (row,) for row in rows]
+    for e, row in enumerate(rows):
+        if len(row) not in (2, 3):
+            raise GraphError(f"row {e} is not (u, v) or (u, v, w): {row!r}")
+    return [[(*row, 1.0)[i] for row in rows] for i in range(3)]
+
+
+def _endpoints(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An endpoint column as int64, -1 where an entry is not an integer (NaN, inf, 0.5), and the mask
+    of those entries.  An integer beyond -1..n becomes -1 or n: still out of range, within int64."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":  # the generators' and derivations' columns: nothing to round
+        return x.astype(np.int64, copy=False), np.zeros(len(x), dtype=bool)
+    try:
+        f = np.asarray(x, dtype=np.float64)
+    except OverflowError:  # an int beyond float64
+        f = np.array([min(max(a, -1), n) if isinstance(a, int) else a for a in x], dtype=np.float64)
+    frac = ~(np.isfinite(f) & (f == np.floor(f)))
+    return np.where(frac, -1, np.clip(f, -1, n)).astype(np.int64), frac
 
 
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -285,50 +301,6 @@ def csr_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(tails, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=g.n))))
     return indptr, heads[order], order // 2
-
-
-def bridges(g: Graph) -> list[int]:
-    """Edge indices whose removal increases the number of components.
-
-    Iterative Tarjan lowlink walk over `csr_adjacency`; O(n + m).
-    """
-    indptr, heads, edge_ids = csr_adjacency(g)
-    indptr, nbr, eid = indptr.tolist(), heads.tolist(), edge_ids.tolist()
-    disc = [-1] * g.n
-    low = [0] * g.n
-    in_edge = [-1] * g.n  # DFS tree edge into each vertex
-    nxt = indptr[:-1]  # next arc of each vertex to walk
-    out: list[int] = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [root]
-        while stack:
-            x = stack[-1]
-            p = nxt[x]
-            if p < indptr[x + 1]:
-                nxt[x] = p + 1
-                if eid[p] == in_edge[x]:
-                    continue
-                y = nbr[p]
-                if disc[y] == -1:
-                    disc[y] = low[y] = timer
-                    timer += 1
-                    in_edge[y] = eid[p]
-                    stack.append(y)
-                else:
-                    low[x] = min(low[x], disc[y])
-            else:
-                stack.pop()
-                if stack:
-                    px = stack[-1]
-                    low[px] = min(low[px], low[x])
-                    if low[x] > disc[px]:
-                        out.append(in_edge[x])
-    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class EdgeScores:
     """Per-edge scores, ranked by descending tie group (`tie_groups`), then ascending edge index."""
 
     values: np.ndarray
-    meaning: str
 
     @property
     def ranking(self) -> np.ndarray:
@@ -136,10 +135,6 @@ def effective_resistance(g: Graph, s: int, t: int, dec=None) -> float:
     return kharmonic_distance(g, 1.0, s, t, dec) ** 2
 
 
-def resistance_matrix(g: Graph, dec=None) -> np.ndarray:
-    return kharmonic_sq_matrix(g, 1.0, dec)
-
-
 def biharmonic_distance(g: Graph, s: int, t: int, dec=None) -> float:
     return kharmonic_distance(g, 2.0, s, t, dec)
 
@@ -147,12 +142,11 @@ def biharmonic_distance(g: Graph, s: int, t: int, dec=None) -> float:
 def edge_kharmonic_sq(g: Graph, k: float, dec=None) -> EdgeScores:
     """(H^k_e)^2 for every edge, as scores."""
     dec = _connected_dec(g, dec)
-    return EdgeScores(spectra.embedding_sq_distances(dec, k, g._u, g._v), f"(H^{k:g}_e)^2")
+    return EdgeScores(spectra.embedding_sq_distances(dec, k, g._u, g._v))
 
 
 def biharmonic_edge_sq(g: Graph, dec=None) -> EdgeScores:
-    scores = edge_kharmonic_sq(g, 2.0, dec)
-    return EdgeScores(scores.values, "B_e^2")
+    return edge_kharmonic_sq(g, 2.0, dec)
 
 
 def total_resistance(g: Graph, dec=None) -> float:
@@ -161,17 +155,3 @@ def total_resistance(g: Graph, dec=None) -> float:
     lam = dec.positive_eigenvalues
     return float(g.n * np.sum(1.0 / lam))
 
-
-def rtot_derivative_check(g: Graph, e: int, h: float = 1e-4) -> tuple[float, float]:
-    """Analytic vs central-difference derivative of R_tot in w_e.
-
-    The analytic value is -n * B_e^2; the numeric one is a second-order
-    central difference with step h.
-    """
-    require_connected(g)
-    u, v, w = int(g._u[e]), int(g._v[e]), float(g._w[e])
-    analytic = -g.n * biharmonic_distance(g, u, v) ** 2
-    up = total_resistance(g.with_weight(e, w + h))
-    down = total_resistance(g.with_weight(e, w - h))
-    numeric = (up - down) / (2.0 * h)
-    return analytic, numeric

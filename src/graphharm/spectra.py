@@ -10,8 +10,11 @@ scale-aware tolerance and clamped to exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
+
+from .graph import _integer_in
 
 # lambda^{-k} can underflow for large k; clamp at the smallest positive
 # normal so downstream logs/ratios stay finite.
@@ -95,6 +98,8 @@ def decompose(L: np.ndarray) -> SpectralDecomposition:
 
 def power_coefficients(dec: SpectralDecomposition, k: float) -> np.ndarray:
     """lambda_i^{-k} over the positive eigenvalues, underflow-clamped; overflow raises."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, Real):
+        raise SpectraError(f"k must be a real number, got k={k!r}")
     if not np.isfinite(k):
         raise SpectraError(f"k must be finite, got k={k}")
     if k < 0:
@@ -117,30 +122,28 @@ def pinv_power(dec: SpectralDecomposition, k: float, r: int | None = None) -> np
     reads every quantity off `embedding` instead; this n x n product is the
     slow route that `validate` and the tests compare those reads against.
     """
-    X = dec.positive_eigenvectors
-    coeffs = power_coefficients(dec, k)
-    if r is not None:
-        max_r = dec.n - dec.kernel_dim
-        if not (1 <= r <= max_r):
-            raise SpectraError(f"rank r={r} out of range 1..{max_r}")
-        X, coeffs = X[:, :r], coeffs[:r]
+    X, coeffs = _truncated(dec, k, r)
     M = (X * coeffs) @ X.T
     return (M + M.T) / 2.0
 
 
+def _truncated(dec: SpectralDecomposition, k: float, r: int | None):
+    """The positive eigenvectors and their lambda^{-k}, or the r smallest: the one rank rule."""
+    X = dec.positive_eigenvectors
+    if r is not None and not _integer_in(r, 1, X.shape[1]):
+        raise SpectraError(f"rank r={r!r} is not an integer in 1..{X.shape[1]}")
+    return X[:, :r], power_coefficients(dec, k)[:r]
+
+
 def _selected(dec: SpectralDecomposition, k: float, r: int | None):
     """Eigenvectors and lambda^{-k/2} factors behind embedding(dec, k, r)."""
-    if r is None:
-        if dec.kernel_dim != 1:
-            raise SpectraError(
-                "full-rank embedding requires a connected graph "
-                f"(kernel_dim={dec.kernel_dim}); pass an explicit rank r"
-            )
-        r = dec.n - dec.kernel_dim
-    max_r = dec.n - dec.kernel_dim
-    if not (1 <= r <= max_r):
-        raise SpectraError(f"rank r={r} out of range 1..{max_r}")
-    return dec.positive_eigenvectors[:, :r], np.sqrt(power_coefficients(dec, k)[:r])
+    if r is None and dec.kernel_dim != 1:
+        raise SpectraError(
+            "full-rank embedding requires a connected graph "
+            f"(kernel_dim={dec.kernel_dim}); pass an explicit rank r"
+        )
+    X, coeffs = _truncated(dec, k, r)
+    return X, np.sqrt(coeffs)
 
 
 def embedding(dec: SpectralDecomposition, k: float, r: int | None = None) -> np.ndarray:

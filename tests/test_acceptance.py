@@ -68,9 +68,9 @@ def test_criterion_4_derivative():
             (u, v, float(rng.uniform(0.5, 2.0))) for u, v, _ in base.edges
         ))
         e = int(rng.integers(g.m))
-        analytic, numeric = harmonic.rtot_derivative_check(g, e, h)
+        analytic, numeric = validate.rtot_derivative_check(g, e, h)
         worst = max(worst, abs(analytic - numeric))
-        _, coarse = harmonic.rtot_derivative_check(g, e, 2 * h)
+        _, coarse = validate.rtot_derivative_check(g, e, 2 * h)
         err_h, err_2h = abs(numeric - analytic), abs(coarse - analytic)
         if err_h > 0:
             ratios.append(err_2h / err_h)

@@ -55,17 +55,12 @@ def test_distances_csv(graph_file, capsys):
     assert len(lines) == 2
 
 
-def test_centrality_with_plot(graph_file, tmp_path, capsys):
+def test_centrality_with_plot(graph_file, capsys):
     path, _ = graph_file
-    plot = tmp_path / "plot.csv"
-    code, out = _run(capsys, ["centrality", "--graph", path, "--measure", "biharmonic2",
-                              "--plot", str(plot)])
+    code, out = _run(capsys, ["centrality", "--graph", path, "--measure", "biharmonic2"])
     assert code == 0
     edges = json.loads(out)["edges"]
     assert {"index", "u", "v", "score", "rank"} <= set(edges[0])
-    header, *rows = plot.read_text().strip().split("\n")
-    assert header == "rank,edge_index,score"
-    assert len(rows) == len(edges)
 
 
 def test_compare_identical_scores(graph_file, tmp_path, capsys):
@@ -103,25 +98,25 @@ def test_cluster_with_purity(graph_file, capsys):
     assert payload["ci95"] is not None
 
 
-def test_cluster_k_grid(graph_file, tmp_path, capsys):
+def test_cluster_k_grid(graph_file, capsys):
     path, labels = graph_file
-    plot = tmp_path / "sweep.csv"
     code, out = _run(capsys, ["cluster", "--graph", path, "--algo", "kmeans",
                               "--clusters", "2", "--labels", labels,
-                              "--k-grid", "1,2,4", "--plot", str(plot)])
+                              "--k-grid", "1,2,4"])
     assert code == 0
     sweep = json.loads(out)["sweep"]
     assert [r["k"] for r in sweep] == [1.0, 2.0, 4.0]
-    assert plot.read_text().startswith("k,purity,ci95\n")
 
 
-def test_cluster_k_grid_csv_is_the_plot_table(graph_file, tmp_path, capsys):
+def test_plot_is_not_an_option(graph_file, tmp_path, capsys):
+    # --out csv writes each table that --plot once repeated
     path, labels = graph_file
-    plot = tmp_path / "sweep.csv"
-    code, out = _run(capsys, ["cluster", "--graph", path, "--algo", "kmeans", "--clusters", "2",
-                              "--labels", labels, "--k-grid", "1,2", "--plot", str(plot), "--out", "csv"])
-    assert code == 0
-    assert out == plot.read_text() and out.startswith("k,purity,ci95\n") and out.count("\n") == 3
+    for argv in (["centrality", "--measure", "biharmonic2"],
+                 ["cluster", "--algo", "kmeans", "--clusters", "2", "--k-grid", "1,2", "--labels", labels]):
+        code = main(argv + ["--graph", path, "--plot", str(tmp_path / "f")])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == "" and not (tmp_path / "f").exists()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and "--plot" in captured.err
 
 
 @pytest.mark.parametrize("subcommand", ["compare", "resilience"])
@@ -423,26 +418,6 @@ def test_missing_generate_parameter_is_usage_error(tmp_path, capsys):
     assert code == 4
     assert "requires p" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["centrality", "--measure", "biharmonic2"],
-        ["cluster", "--algo", "kmeans", "--clusters", "2", "--k-grid", "1,2"],
-    ],
-)
-def test_plot_name_stays_out_of_the_bytes(graph_file, tmp_path, capsys, argv):
-    path, labels = graph_file
-    extra = ["--labels", labels] if argv[0] == "cluster" else []
-    outs = []
-    for name in ("a.csv", "b.csv"):
-        code, out = _run(capsys, argv + ["--graph", path, *extra, "--plot", str(tmp_path / name)])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert "plot" not in json.loads(outs[0])["meta"]["params"]
 
 
 def test_unrepresentable_power_is_usage_error(tmp_path, capsys):

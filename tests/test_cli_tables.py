@@ -3,7 +3,7 @@
 The oracle is the former writer: one dict per row under
 json.dumps(payload, indent=2, sort_keys=True), and `_csv` over row tuples.
 Each test feeds it the numbers the CLI reports and compares bytes, on
-stdout, in an --output file and in a --plot file.
+stdout and in an --output file.
 """
 
 import json
@@ -50,9 +50,6 @@ def _written(capsys, tmp_path, argv, where: str) -> tuple[str, dict]:
     meta_argv = list(argv)
     if "--out" in meta_argv:
         meta_argv[meta_argv.index("--out") + 1] = "json"
-    if "--plot" in meta_argv:  # leave the plot file of a CSV run as it was written
-        i = meta_argv.index("--plot")
-        meta_argv[i + 1] = str(tmp_path / "meta_plot.csv")
     assert main(meta_argv) == 0
     return text, json.loads(capsys.readouterr().out)["meta"]
 
@@ -97,9 +94,7 @@ def test_distances_bytes_match_the_row_dict_route(graphs, tmp_path, capsys, grap
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("measure", flow.MEASURES)
 def test_centrality_bytes_match_the_row_dict_route(graphs, tmp_path, capsys, measure, fmt, where):
-    plot = tmp_path / "plot.csv"
-    argv = ["centrality", "--graph", graphs["sbm"], "--measure", measure, "--k", "1.5",
-            "--plot", str(plot), "--out", fmt]
+    argv = ["centrality", "--graph", graphs["sbm"], "--measure", measure, "--k", "1.5", "--out", fmt]
     text, meta = _written(capsys, tmp_path, argv, where)
     g = io.load_edge_list(graphs["sbm"])
     scores = flow.edge_measure(g, measure, 1.5)
@@ -111,8 +106,6 @@ def test_centrality_bytes_match_the_row_dict_route(graphs, tmp_path, capsys, mea
         dicts = [{"index": e, "u": u, "v": v, "score": x, "rank": r} for e, u, v, x, r in rows]
         expect = _old_json({"meta": meta, "edges": dicts})
     assert text == expect
-    ranked = [(pos, e, repr(values[e])) for pos, e in enumerate(scores.ranking.tolist())]
-    assert plot.read_text(encoding="utf-8") == _old_csv("rank,edge_index,score", ranked)
 
 
 def test_an_empty_table_is_an_empty_list(graphs, tmp_path, capsys):
@@ -127,15 +120,13 @@ def test_an_empty_table_is_an_empty_list(graphs, tmp_path, capsys):
 @pytest.mark.parametrize("where", ["stdout", "output"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cluster_k_grid_bytes_match_the_row_dict_route(graphs, tmp_path, capsys, fmt, where):
-    plot = tmp_path / "sweep.csv"
     argv = ["cluster", "--graph", graphs["sbm"], "--algo", "kmeans", "--clusters", "2", "--labels",
-            graphs["labels"], "--k-grid", "1,2,4.5", "--seeds", "0,1", "--plot", str(plot), "--out", fmt]
+            graphs["labels"], "--k-grid", "1,2,4.5", "--seeds", "0,1", "--out", fmt]
     text, meta = _written(capsys, tmp_path, argv, where)
     assert main(argv[:-2]) == 0
     sweep = json.loads(capsys.readouterr().out)["sweep"]
     table = _old_csv("k,purity,ci95", [(repr(r["k"]), repr(r["purity"]), repr(r["ci95"])) for r in sweep])
     assert text == (table if fmt == "csv" else _old_json({"meta": meta, "sweep": sweep}))
-    assert plot.read_text(encoding="utf-8") == table
 
 
 @pytest.mark.parametrize("where", ["stdout", "output"])
@@ -148,9 +139,9 @@ def test_cluster_csv_matches_the_row_route(graphs, tmp_path, capsys, where):
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])
-def test_block_size_leaves_the_bytes_alone(graphs, tmp_path, capsys, monkeypatch, block):
+def test_block_size_leaves_the_bytes_alone(graphs, capsys, monkeypatch, block):
     argvs = [
-        ["centrality", "--graph", graphs["sbm"], "--measure", "resistance", "--plot", str(tmp_path / "p.csv")],
+        ["centrality", "--graph", graphs["sbm"], "--measure", "resistance"],
         ["distances", "--graph", graphs["sbm"], "--k", "2", "--pairs", "0:1,2:3,4:5,6:7,8:9"],
         ["distances", "--graph", graphs["sbm"], "--k", "2", "--pairs", "0:1,2:3,4:5,6:7,8:9", "--out", "csv"],
     ]
@@ -159,7 +150,7 @@ def test_block_size_leaves_the_bytes_alone(graphs, tmp_path, capsys, monkeypatch
         monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
         for argv in argvs:
             assert main(argv) == 0
-            outs.append((capsys.readouterr().out, (tmp_path / "p.csv").read_text()))
+            outs.append(capsys.readouterr().out)
     assert outs[: len(argvs)] == outs[len(argvs):]
 
 

@@ -11,7 +11,6 @@ from graphharm.flow import (
     current_flow_centrality,
     edge_betweenness,
     edge_measure,
-    min_norm_certificate,
     resilience_experiment,
     spearman,
     squared_flow_centrality,
@@ -20,6 +19,7 @@ from graphharm.flow import (
 )
 from graphharm.graph import Graph, GraphError
 from graphharm.harmonic import EdgeScores
+from graphharm.validate import min_norm_certificate
 from conftest import random_weighted
 
 
@@ -175,20 +175,20 @@ def test_betweenness_on_a_long_path():
 
 
 def test_spearman_perfect_and_reversed():
-    a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]), "a")
-    b = EdgeScores(np.array([10.0, 20.0, 30.0, 40.0]), "b")
+    a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]))
+    b = EdgeScores(np.array([10.0, 20.0, 30.0, 40.0]))
     assert spearman(a, b) == pytest.approx(1.0)
-    c = EdgeScores(np.array([4.0, 3.0, 2.0, 1.0]), "c")
+    c = EdgeScores(np.array([4.0, 3.0, 2.0, 1.0]))
     assert spearman(a, c) == pytest.approx(-1.0)
 
 
 def test_spearman_rejects_degenerate():
-    a = EdgeScores(np.array([1.0, 1.0, 1.0]), "a")
-    b = EdgeScores(np.array([1.0, 2.0, 3.0]), "b")
+    a = EdgeScores(np.array([1.0, 1.0, 1.0]))
+    b = EdgeScores(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(GraphError, match="degenerate"):
         spearman(a, b)
     with pytest.raises(GraphError, match="size"):
-        spearman(b, EdgeScores(np.array([1.0, 2.0]), "short"))
+        spearman(b, EdgeScores(np.array([1.0, 2.0])))
 
 
 @pytest.mark.parametrize(
@@ -211,14 +211,14 @@ def test_spearman_is_route_independent():
     for k in (1.0, 2.0):
         M = spectra.pinv_power(dec, k)
         fast.append(harmonic.edge_kharmonic_sq(g, k, dec))
-        slow.append(EdgeScores(M[g._u, g._u] + M[g._v, g._v] - 2.0 * M[g._u, g._v], "slow"))
+        slow.append(EdgeScores(M[g._u, g._u] + M[g._v, g._v] - 2.0 * M[g._u, g._v]))
     assert spearman(*fast) == spearman(*slow)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spearman_rejects_non_finite(bad):
-    a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]), "a")
-    b = EdgeScores(np.array([1.0, bad, 3.0, 2.0]), "b")
+    a = EdgeScores(np.array([1.0, 2.0, 3.0, 4.0]))
+    b = EdgeScores(np.array([1.0, bad, 3.0, 2.0]))
     with pytest.raises(GraphError, match="finite"):
         spearman(a, b)
     with pytest.raises(GraphError, match="finite"):
@@ -246,7 +246,7 @@ def test_spearman_matches_scipy_exactly():
         if np.ptp(a) == 0 or np.ptp(b) == 0:
             continue
         expected = float(stats.spearmanr(a, b)[0])
-        assert spearman(EdgeScores(a, "a"), EdgeScores(b, "b")) == expected
+        assert spearman(EdgeScores(a), EdgeScores(b)) == expected
 
 
 def test_spearman_matches_count_based_ranks():
@@ -259,7 +259,7 @@ def test_spearman_matches_count_based_ranks():
             continue
         ra, rb = ranks(a) - np.mean(ranks(a)), ranks(b) - np.mean(ranks(b))
         expected = float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
-        assert spearman(EdgeScores(a, "a"), EdgeScores(b, "b")) == pytest.approx(
+        assert spearman(EdgeScores(a), EdgeScores(b)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -378,7 +378,7 @@ def test_resilience_rejects_complete_graph(k4):
 
 
 @pytest.mark.parametrize("measure", flow.MEASURES)
-@pytest.mark.parametrize("num_added, trials", [(0, 2), (-1, 2), (2, 0)])
+@pytest.mark.parametrize("num_added, trials", [(0, 2), (-1, 2), (2, 0), (2, 1.5), (2.5, 2), (True, 2)])
 def test_resilience_rejects_an_empty_experiment(measure, num_added, trials):
     # the low-rank route (resistance, biharmonic2, kharmonic2 at k=2) and the rebuild route alike
     g, _ = generators.sbm([6, 6], 0.7, 0.2, 1)

@@ -12,7 +12,6 @@ from graphharm.graph import (
     Graph,
     GraphError,
     MAX_VERTICES,
-    bridges,
     component_labels,
     connected_subgraph,
     cut_from_side,
@@ -21,6 +20,7 @@ from graphharm.graph import (
     require_points,
     require_connected,
 )
+from graphharm.validate import bridges
 
 
 def test_build_rejects_self_loop():
@@ -93,6 +93,10 @@ def _outcome(build, n, edges):
         # the first rule an edge breaks names it
         (((0, 1, 1.0), (1, 1, -1.0)), 1, "self-loop"),
         (((0, 3, float("nan")),), 0, "endpoint out of range 0..2"),
+        (((0.5, 1), (1.9, 2)), 0, "endpoint is not an integer"),
+        (((0, 1), (1, float("nan"))), 1, "endpoint is not an integer"),
+        (((0, 1), (float("inf"), 1)), 1, "endpoint is not an integer"),
+        (((0, 1), (1, -float("inf"), 0.0)), 1, "endpoint is not an integer"),
     ],
 )
 def test_constructor_checks_each_rule(edges, edge, message):
@@ -127,6 +131,8 @@ def test_with_weight_is_checked(p3, w):
         ([(2, 1, 1.0)], "edge 2 \\(2,1\\): duplicate edge"),
         ([(0, 2, 1.0), (2, 2, 1.0)], "edge 3 \\(2,2\\): self-loop"),
         ([(0, 3, 1.0)], "edge 2 \\(0,3\\): endpoint out of range 0..2"),
+        ([(0, 0.5, 1.0)], "edge 2 \\(0,0.5\\): endpoint is not an integer"),
+        ([(float("nan"), 2)], "edge 2 \\(nan,2\\): endpoint is not an integer"),
     ],
 )
 def test_with_edges_added_is_checked(p3, extra, message):
@@ -290,6 +296,21 @@ def test_with_edges_added_appends(p3):
     g = p3.with_edges_added([(0, 2, 1.0)])
     assert g.m == 3
     assert g.edges[2][:2] == (0, 2)
+
+
+def test_with_edges_added_reads_rows_as_the_constructor_does(p3):
+    # rows of two fields take weight 1.0; a row of another length is the constructor's GraphError
+    assert p3.with_edges_added([(0, 2)]) == p3.with_edges_added(iter([(0, 2)])) == Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for row in [(0,), (0, 2, 1.0, 4.0), 7]:
+        with pytest.raises(GraphError, match=r"^row 1 is not \(u, v\) or \(u, v, w\): ") as info:
+            p3.with_edges_added([(0, 2), row])
+        assert not isinstance(info.value, EdgeError)
+
+
+def test_integral_endpoint_columns_of_any_dtype_pass(p3):
+    assert Graph(3, [(0.0, 1.0), (np.float64(1.0), np.int32(2))]) == p3
+    assert p3.with_edges_added([]) == p3  # np.append of nothing gives float64 columns
+    assert Graph._from_arrays(3, np.array([0.0, 1.0]), np.array([1, 2], dtype=np.uint8), [1.0, 1.0]) == p3
 
 
 def test_bridge_in_barbell(barbell):

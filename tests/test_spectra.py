@@ -1,9 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphharm import generators, spectra
+from graphharm import cluster, generators, harmonic, spectra
 from graphharm.spectra import (
     SpectraError,
     decompose,
@@ -161,6 +162,30 @@ def test_low_rank_rejects_bad_rank():
         pinv_power(dec, 1.0, 0)
     with pytest.raises(SpectraError):
         pinv_power(dec, 1.0, dec.n)
+
+
+def test_a_rank_is_an_integer_in_1_to_n_minus_kernel_dim():
+    p6 = generators.path(6)
+    calls = [
+        (lambda: cluster.spectral_clustering(p6, 2.5, 0), "r=2.5"),
+        (lambda: cluster.low_rank_kharmonic_kmeans(p6, 2, 2.0, 2.5), "r=2.5"),
+        (lambda: harmonic.kharmonic_rank_sq_matrix(p6, 2, True), "r=True"),
+        (lambda: pinv_power(decompose(p6.laplacian()), 1.0, 2.5), "r=2.5"),
+        (lambda: embedding_sq_distances(decompose(p6.laplacian()), 1.0, [0], [1], np.True_), "r=np.True_"),
+    ]
+    for call, named in calls:
+        with pytest.raises(SpectraError, match=f"rank {named} is not an integer in 1..5"):
+            call()
+    dec = decompose(p6.laplacian())
+    assert np.array_equal(pinv_power(dec, 1.0, np.int64(3)), pinv_power(dec, 1.0, 3))
+
+
+@pytest.mark.parametrize("k", [None, "2", True, [2.0], 1j])
+def test_k_must_be_a_real_number(k):
+    g = generators.path(5)
+    with pytest.raises(SpectraError, match=f"^k must be a real number, got k={re.escape(repr(k))}$"):
+        harmonic.kharmonic_sq_matrix(g, k)
+    assert harmonic.kharmonic_sq_matrix(g, np.float32(2.0)).shape == (5, 5)
 
 
 def test_embedding_gram_matrix_gives_distances():

@@ -15,6 +15,17 @@ def test_brute_force_matches_path_resistance():
     assert brute_force_distance(g, 1, 0, 2) ** 2 == pytest.approx(2.0, abs=1e-12)
 
 
+def test_validate_only_oracles_live_in_validate():
+    import graphharm
+    from graphharm import graph
+
+    for name in ("bridges", "min_norm_certificate", "rtot_derivative_check"):
+        assert callable(getattr(validate, name))
+        assert all(not hasattr(module, name) for module in (graphharm, graph, flow, harmonic, spectra, cluster))
+    assert not hasattr(harmonic, "resistance_matrix")
+    assert [f.name for f in dataclasses.fields(harmonic.EdgeScores)] == ["values"]
+
+
 def test_brute_force_matches_spectral_route():
     g = sample_graph("er_weighted", 12, seed=5)
     dec = harmonic.decomposition(g)
