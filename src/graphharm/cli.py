@@ -226,14 +226,10 @@ def _run_cluster_once(g, args, seed):
         return cluster.spectral_clustering(g, args.clusters, seed)
     if args.algo == "gn":
         return cluster.girvan_newman(g, args.clusters, "kharmonic2", args.k)
-    if args.algo == "gn-betweenness":
-        return cluster.girvan_newman(g, args.clusters, "betweenness")
-    raise UsageError(f"unknown algorithm {args.algo!r}")
+    return cluster.girvan_newman(g, args.clusters, "betweenness")  # gn-betweenness, the last of the choices
 
 
 def cmd_cluster(args):
-    if args.clusters < 1:
-        raise UsageError(f"--clusters must be positive, got {args.clusters}")
     g = io.load_edge_list(args.graph)
     labels = None
     if args.labels:

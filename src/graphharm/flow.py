@@ -42,11 +42,8 @@ def st_potential(g: Graph, s: int, t: int) -> Potential:
 
 
 def st_flow(g: Graph, s: int, t: int) -> Flow:
-    s, t = require_vertex(g, s), require_vertex(g, t)
-    if s == t:
-        raise GraphError("st-flow requires s != t")
-    p = st_potential(g, s, t).values
-    return Flow(s, t, g._w * (p[g._u] - p[g._v]))
+    p = st_potential(g, s, t)
+    return Flow(p.source, p.target, g._w * (p.values[g._u] - p.values[g._v]))
 
 
 def squared_flow_centrality(g: Graph) -> EdgeScores:

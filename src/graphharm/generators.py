@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, GraphError, is_connected, require_points, require_seed
+from .graph import (MAX_VERTICES, Graph, GraphError, _integer_in, is_connected, require_count, require_points,
+                    require_seed)
 
 MAX_CONNECT_ATTEMPTS = 100
 
@@ -24,22 +25,24 @@ def _unweighted(n: int, u, v) -> Graph:  # edge e joins u[e] and v[e] with weigh
 
 
 def complete(n: int) -> Graph:
+    n = require_count("vertex count", n, 0, MAX_VERTICES)
     return _unweighted(n, *np.triu_indices(n, 1))
 
 
 def path(n: int) -> Graph:
+    n = require_count("vertex count", n, 0, MAX_VERTICES)
     return _unweighted(n, np.arange(n - 1), np.arange(1, n))
 
 
 def star(n: int) -> Graph:
     """Hub vertex 0 joined to vertices 1..n-1."""
+    n = require_count("vertex count", n, 0, MAX_VERTICES)
     return _unweighted(n, np.zeros(max(n - 1, 0), dtype=np.int64), np.arange(1, n))
 
 
 def balanced_tree(branching: int, depth: int) -> Graph:
     """Rooted tree where every internal vertex has `branching` children; v > 0 hangs off (v - 1) // branching."""
-    if branching < 1 or depth < 0:
-        raise GraphError("balanced_tree requires branching >= 1 and depth >= 0")
+    branching, depth = require_count("branching", branching, 1, np.inf), require_count("depth", depth, 0, np.inf)
     children = np.arange(1, sum(branching**i for i in range(depth + 1)))
     return _unweighted(len(children) + 1, (children - 1) // branching, children)
 
@@ -73,8 +76,7 @@ def _connected_blocks(labels: np.ndarray, p_in: float, p_out: float, seed: int, 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected G(n, p) sample: the one-block stochastic block model."""
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    n = require_count("vertex count", n, 0, MAX_VERTICES)
     _check_probability("edge probability", p)
     return _connected_blocks(np.zeros(n, dtype=np.int64), p, p, seed, f"erdos_renyi(n={n}, p={p})")
 
@@ -85,8 +87,8 @@ def sbm(cluster_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.
     Within-cluster edges appear with probability p_in, cross-cluster edges
     with probability p_out.
     """
-    sizes = [int(s) for s in cluster_sizes]
-    if not sizes or any(s <= 0 for s in sizes):
+    sizes = [require_count("cluster size", s, 1, MAX_VERTICES) for s in cluster_sizes]
+    if not sizes:
         raise GraphError("cluster sizes must be a nonempty list of positive counts")
     _check_probability("p_in", p_in)
     _check_probability("p_out", p_out)
@@ -104,10 +106,9 @@ def knn(points, k: int) -> Graph:
     """
     pts = require_points(points)
     n = len(pts)
-    if k >= n:
+    if _integer_in(k, n, np.inf):
         raise GraphError(f"k={k} must be smaller than the number of points ({n})")
-    if k < 1:
-        raise GraphError("k must be at least 1")
+    k = require_count("k", k, 1, n - 1)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     joined = np.zeros((n, n), dtype=bool)
@@ -117,13 +118,13 @@ def knn(points, k: int) -> Graph:
 
 # model -> (required parameters, maker called with their values and the seed)
 MODELS = {
-    "complete": (("n",), lambda n, _: complete(int(n))),
-    "path": (("n",), lambda n, _: path(int(n))),
-    "star": (("n",), lambda n, _: star(int(n))),
-    "balanced_tree": (("branching", "depth"), lambda b, d, _: balanced_tree(int(b), int(d))),
-    "erdos_renyi": (("n", "p"), lambda n, p, seed: erdos_renyi(int(n), float(p), seed)),
+    "complete": (("n",), lambda n, _: complete(n)),
+    "path": (("n",), lambda n, _: path(n)),
+    "star": (("n",), lambda n, _: star(n)),
+    "balanced_tree": (("branching", "depth"), lambda b, d, _: balanced_tree(b, d)),
+    "erdos_renyi": (("n", "p"), lambda n, p, seed: erdos_renyi(n, float(p), seed)),
     "sbm": (("sizes", "p_in", "p_out"), lambda sizes, p_in, p_out, seed: sbm(sizes, float(p_in), float(p_out), seed)),
-    "knn": (("points", "k"), lambda points, k, _: knn(points, int(k))),
+    "knn": (("points", "k"), lambda points, k, _: knn(points, k)),
 }
 
 

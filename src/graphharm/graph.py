@@ -39,10 +39,10 @@ class Graph:
     Vertices are 0..n-1.  Row e = (u, v, w) or (u, v), of weight 1.0, of
     ``Graph(n, rows)`` fixes the index and orientation of edge e, kept only
     in the read-only arrays ``_u``, ``_v``, ``_w``.  Every Graph is checked
-    when built: a row of another length, n < 0 or n > `MAX_VERTICES`
-    raises `GraphError`; the first edge with an endpoint not an integer in
-    0..n-1, a self-loop, a weight not finite and > 0, or an earlier edge's
-    unordered pair raises `EdgeError`, naming the first rule it breaks.
+    when built: a row of another length or an n that is not an integer in
+    0..`MAX_VERTICES` raises `GraphError`; the first edge with an endpoint not
+    an integer in 0..n-1, a self-loop, a weight not finite and > 0, or an
+    earlier edge's unordered pair raises `EdgeError`, naming the first rule it breaks.
     """
 
     n: int
@@ -64,10 +64,11 @@ class Graph:
 
     def _store(self, n, u, v, w) -> "Graph":
         """Check the edge columns, keep them read-only, and return self."""
-        if n < 0:
+        if _integer_in(n, -np.inf, -1):  # an integer n out of range keeps its own two messages
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        if n > MAX_VERTICES:
+        if _integer_in(n, MAX_VERTICES + 1, np.inf):
             raise GraphError(f"vertex count {n} exceeds the largest supported, {MAX_VERTICES}")
+        n = require_count("vertex count", n, 0, MAX_VERTICES)
         given = u, v  # an error names the endpoints as given
         (u, frac_u), (v, frac_v) = (_endpoints(x, n) for x in given)
         w = np.asarray(w, dtype=np.float64)
@@ -154,12 +155,12 @@ class Graph:
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
         weights = self._w.copy()
-        weights[_require_index(e, self.m, "edge")] = float(w)
+        weights[require_count("edge", e, 0, self.m - 1)] = float(w)
         return Graph._from_arrays(self.n, self._u, self._v, weights)
 
     def without_edge(self, e: int) -> "Graph":
         """Copy with edge e removed; later edges shift down by one index."""
-        e = _require_index(e, self.m, "edge")
+        e = require_count("edge", e, 0, self.m - 1)
         return Graph._from_arrays(self.n, *(np.delete(x, e) for x in (self._u, self._v, self._w)))
 
     def with_edges_added(self, new_edges) -> "Graph":
@@ -251,25 +252,26 @@ def require_connected(g: Graph) -> None:
 
 
 def _integer_in(x, lo: int, hi: int) -> bool:
-    """Whether x is an int or numpy integer, not a bool, in lo..hi: the library's one index rule."""
+    """Whether x is an int or numpy integer, not a bool, in lo..hi: the library's one integer rule."""
     return not isinstance(x, (bool, np.bool_)) and isinstance(x, (int, np.integer)) and lo <= x <= hi
 
 
-def _require_index(i, count: int, what: str) -> int:
-    """i as a Python int, if it is an index in 0..count-1 (`_integer_in`)."""
-    if not _integer_in(i, 0, count - 1):
-        raise GraphError(f"{what} {i!r} is not an integer in 0..{count - 1}")
-    return int(i)
+def require_count(what: str, x, lo, hi) -> int:
+    """x as a Python int, if it is an integer in lo..hi (`_integer_in`); else a GraphError naming `what`.
+    The one rule for every count and index the library takes: none is truncated, and no bool is one."""
+    if not _integer_in(x, lo, hi):
+        raise GraphError(f"{what} {x!r} is not an integer in {lo}..{hi}")
+    return int(x)
 
 
 def require_vertex(g: Graph, v) -> int:
     """v as a Python int, if it is an integer vertex index in 0..n-1."""
-    return _require_index(v, g.n, "vertex")
+    return require_count("vertex", v, 0, g.n - 1)
 
 
 def require_seed(seed) -> int:
     """seed as a Python int, if it is a nonnegative integer, the seeds the library's generators take."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _integer_in(seed, 0, np.inf):
         raise GraphError(f"seed {seed!r} is not a nonnegative integer")
     return int(seed)
 

@@ -118,9 +118,6 @@ def kharmonic_matrix(g: Graph, k: float, dec=None) -> np.ndarray:
 
 def kharmonic_distance(g: Graph, k: float, s: int, t: int, dec=None) -> float:
     s, t = require_vertex(g, s), require_vertex(g, t)
-    if s == t:
-        require_connected(g)
-        return 0.0
     dec = _connected_dec(g, dec)
     return float(np.sqrt(spectra.embedding_sq_distances(dec, k, [s], [t])[0]))
 

@@ -44,8 +44,6 @@ def load_edge_list(path) -> Graph:
                     declared_n = int(parts[1])
                 except ValueError:
                     raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
-                if declared_n < 0:
-                    raise ParseError(path, lineno, f"bad vertex count {parts[1]!r}")
                 header_line = lineno
                 continue
             if len(parts) not in (2, 3):

@@ -230,7 +230,7 @@ def embedding_sq_distances(dec: SpectralDecomposition, k: float, s, t, r: int | 
     X, half = _selected(dec, k, r)
     s, t = np.asarray(s), np.asarray(t)
     out = np.empty(len(s))
-    step = max(1, _BLOCK_ELEMENTS // len(half))
+    step = max(1, _BLOCK_ELEMENTS // max(len(half), 1))  # no positive eigenvalue on one vertex
     for i in range(0, len(s), step):
         d = (X[s[i:i + step]] - X[t[i:i + step]]) * half
         out[i:i + step] = np.einsum("ij,ij->i", d, d)

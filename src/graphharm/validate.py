@@ -15,7 +15,7 @@ import numpy as np
 from . import cluster, flow, generators, harmonic, spectra
 from .graph import (
     Cut, Graph, GraphError, component_labels, connected_subgraph, csr_adjacency, cut_from_side,
-    require_connected, require_seed,
+    require_connected, require_count, require_seed,
 )
 
 
@@ -595,8 +595,7 @@ def run_suite(
     unknown = [x for x in names if x not in CHECKS]
     if unknown:
         raise GraphError(f"unknown check name(s) {unknown}; known: {sorted(CHECKS)}")
-    if trials < 1:
-        raise GraphError(f"trials must be at least 1, got {trials}")
+    trials = require_count("trials", trials, 1, np.inf)
     if n_range[0] < 8:
         raise GraphError(f"n_min must be at least 8, got {n_range[0]}; smaller graphs fail some checks' preconditions")
     if n_range[0] > n_range[1]:

@@ -144,6 +144,17 @@ def test_empty_resilience_experiment_is_usage_error(graph_file, capsys, measure,
     assert captured.out == "" and "num_added >= 1 and trials >= 1" in captured.err
 
 
+@pytest.mark.parametrize("algo, clusters, message", [
+    ("gn", "0", "cannot form c=0 clusters on 16 vertices"),
+    ("kmeans", "-1", "cannot form c=-1 clusters from 16 points"),
+    ("spectral", "0", "rank r=0 is not an integer in 1..15"),
+])
+def test_cluster_count_below_one_is_usage_error(graph_file, capsys, algo, clusters, message):
+    path, _ = graph_file
+    assert main(["cluster", "--graph", path, "--algo", algo, "--clusters", clusters]) == 4
+    assert capsys.readouterr()[:] == ("", f"error: {message}\n")
+
+
 def test_non_numeric_score_is_parse_error(graph_file, tmp_path, capsys):
     path, _ = graph_file
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -305,6 +305,30 @@ def test_sweep_cut_rejects_non_finite(barbell):
         sweep_cut(barbell, x)
 
 
+@pytest.mark.parametrize("x, message", [
+    ([2.0] * 6, r"^sweep vector is constant$"),
+    ([0.0, 1.0], r"^vector length \(2,\) does not match n=6$"),
+], ids=["constant", "wrong-length"])
+def test_sweep_cut_rejects_a_vector_with_no_cut(barbell, x, message):
+    with pytest.raises(GraphError, match=message):
+        sweep_cut(barbell, x)
+
+
+def test_purity_rejects_lengths_that_differ():
+    with pytest.raises(GraphError, match=r"^assignment length 3 != label length 2$"):
+        purity(np.array([0, 1, 1]), [0, 1])
+
+
+def test_girvan_newman_rescores_a_deletion_too_close_to_a_bridge():
+    # edge (0, 1) is nearly a bridge: 1 - w R_01 = 1.0e-12, below sqrt(eps), where the update divides by it
+    g = Graph(3, [(0, 1), (1, 2), (0, 2, 1e-12)])
+    P, Q = spectra.pinv_powers(harmonic.decomposition(g), 2)
+    assert 1.0 - spectra.quadratic_reads(P, 0, 1) == pytest.approx(1.0e-12, rel=1e-3)
+    before = P.tobytes(), Q.tobytes()
+    assert cluster._delete_edge((P, Q), 0, 1, 1.0) is False
+    assert (P.tobytes(), Q.tobytes()) == before
+
+
 def test_purity_extremes():
     truth = np.array([0, 0, 1, 1])
     assert purity(np.array([1, 1, 0, 0]), truth) == 1.0  # label permutation

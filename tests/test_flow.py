@@ -191,6 +191,24 @@ def test_spearman_rejects_degenerate():
         spearman(b, EdgeScores(np.array([1.0, 2.0])))
 
 
+def test_spearman_rejects_a_single_edge():
+    one = EdgeScores(np.array([1.0]))
+    with pytest.raises(GraphError, match=r"^need at least 2 edges for a rank correlation$"):
+        spearman(one, one)
+
+
+@pytest.mark.parametrize("call", [st_potential, st_flow])
+def test_st_potential_and_flow_reject_s_equal_t(call):
+    with pytest.raises(GraphError, match=r"^st-potential requires s != t$"):
+        call(generators.path(4), 2, 2)
+
+
+def test_resilience_rejects_more_edges_than_the_non_edges():
+    # path(4) has the 3 non-edges (0, 2), (0, 3) and (1, 3)
+    with pytest.raises(GraphError, match=r"^cannot add 4 edges; only 3 non-edges exist$"):
+        resilience_experiment(generators.path(4), "resistance", num_added=4, trials=1, seed=0)
+
+
 @pytest.mark.parametrize(
     "g", [generators.complete(9), Graph(12, [(i, (i + 1) % 12, 1.0) for i in range(12)])]
 )

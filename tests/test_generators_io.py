@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,37 @@ def test_edge_list_reports_a_vertex_count_beyond_the_limit(tmp_path, text, line)
     with pytest.raises(ParseError, match=f":{line}: vertex count .* exceeds") as info:
         io.load_edge_list(path)
     assert info.value.line == line
+
+
+def test_sbm_rejects_an_empty_size_list():
+    with pytest.raises(GraphError, match=r"^cluster sizes must be a nonempty list of positive counts$"):
+        generators.sbm([], 0.5, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("n 3 4\n0 1\n", 1, "header must be 'n COUNT'"),
+    ("n 3\n0 1 1.0 7\n", 2, "expected 'u v \\[w\\]', got '0 1 1.0 7'"),
+    ("# a negative count\nn -3\n0 1\n", 2, "vertex count must be nonnegative, got -3"),
+], ids=["header-fields", "four-fields", "negative-count"])
+def test_edge_list_names_the_bad_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: {message}$") as info:
+        io.load_edge_list(path)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", ":1: missing header row"),
+    ("x,y\n1.0,2.0\n3.0,4.0,5.0\n", ":3: expected 2 columns, got 3"),
+    ("x,y\n1.0,2.0\n1.0,two\n", ":3: could not parse row \\['1.0', 'two'\\]"),
+    ("x,label\n1.0,0\n2.0,0.5\n", ":3: could not parse row \\['2.0', '0.5'\\]"),
+], ids=["no-header", "ragged", "bad-number", "bad-label"])
+def test_points_csv_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "pts.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}{message}$"):
+        io.load_points_csv(path)
 
 
 def test_points_csv_roundtrip(tmp_path):

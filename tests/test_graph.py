@@ -19,6 +19,7 @@ from graphharm.graph import (
     is_connected,
     require_points,
     require_connected,
+    require_seed,
 )
 from graphharm.validate import bridges
 
@@ -467,3 +468,45 @@ def test_require_points_accepts_no_rows_and_copies_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 10_000  # the points are 1.28 MB
+
+
+_POINTS = np.arange(10.0)[:, None]
+
+# argument -> (call taking the value, pattern its error message starts with, an in-range value)
+_COUNT_ARGUMENTS = {
+    "Graph n": (lambda x: Graph(x, [(0, 1)]), r"^vertex count", 3),
+    "complete n": (generators.complete, r"^vertex count", 3),
+    "path n": (generators.path, r"^vertex count", 3),
+    "star n": (generators.star, r"^vertex count", 3),
+    "erdos_renyi n": (lambda x: generators.erdos_renyi(x, 0.5, 0), r"^vertex count", 6),
+    "balanced_tree branching": (lambda x: generators.balanced_tree(x, 2), r"^branching ", 2),
+    "balanced_tree depth": (lambda x: generators.balanced_tree(2, x), r"^depth ", 2),
+    "sbm sizes": (lambda x: generators.sbm([x, 3], 0.9, 0.3, 0), r"^cluster size ", 3),
+    "knn k": (lambda x: generators.knn(_POINTS, x), r"^k ", 2),
+    "generate n": (lambda x: generators.generate("path", {"n": x}), r"^vertex count|^model path requires n$", 3),
+    "require_seed": (require_seed, r"^seed ", 3),
+    "run_suite trials": (lambda x: validate.run_suite(["foster"], n_range=(8, 9), trials=x), r"^trials ", 1),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, np.True_, -1, "3", None],
+                         ids=["float", "nan", "bool", "numpy-bool", "negative", "str", "None"])
+@pytest.mark.parametrize("argument", list(_COUNT_ARGUMENTS))
+def test_every_count_is_an_integer_in_range_or_a_graph_error_naming_it(argument, bad):
+    call, names, good = _COUNT_ARGUMENTS[argument]
+    with pytest.raises(GraphError) as info:
+        call(bad)
+    assert re.search(names, str(info.value)), str(info.value)
+    call(np.int64(good))  # a numpy integer in range is a count
+
+
+def test_require_count_returns_a_python_int_and_names_the_range():
+    assert type(Graph(np.int64(3), ()).n) is int
+    with pytest.raises(GraphError, match=r"^vertex count 2\.5 is not an integer in 0\.\.2147483648$"):
+        Graph(2.5, ())
+
+
+@pytest.mark.parametrize("endpoint", [(0, 10**400), (-10**400, 1)], ids=["above", "below"])
+def test_endpoint_beyond_float64_is_out_of_range(endpoint):
+    with pytest.raises(EdgeError, match=r"^edge 0 .*: endpoint out of range 0\.\.2$"):
+        Graph(3, [endpoint])

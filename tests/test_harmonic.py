@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import graphharm
 from graphharm import cluster, flow, generators, harmonic, spectra, validate
-from graphharm.graph import Graph, GraphError
+from graphharm.graph import DisconnectedGraphError, Graph, GraphError
 from graphharm.harmonic import (
     EdgeScores,
     biharmonic_distance,
@@ -70,6 +70,22 @@ def test_down_laplacian_diagonal_matches_the_edge_space_pinv(family, seed):
 
 def test_total_resistance_path(p3):
     assert total_resistance(p3) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_distance_from_a_vertex_to_itself_is_zero_and_still_checked():
+    g = generators.path(4)
+    assert harmonic.kharmonic_distance(g, 2.5, 2, 2) == 0.0
+    with pytest.raises(spectra.SpectraError, match=r"^k must be finite, got k=nan$"):
+        harmonic.kharmonic_distance(g, float("nan"), 2, 2)
+    with pytest.raises(DisconnectedGraphError):
+        harmonic.kharmonic_distance(Graph(3, [(0, 1)]), 2.0, 2, 2)
+
+
+def test_one_vertex_graph_has_zero_distance_and_no_edge_scores():
+    g = Graph(1, ())
+    assert harmonic.kharmonic_distance(g, 2.0, 0, 0) == 0.0
+    assert harmonic.edge_kharmonic_sq(g, 2.0).values.shape == (0,)
+    assert flow.squared_flow_centrality(g).values.shape == (0,)
 
 
 def test_total_resistance_is_pair_sum():

@@ -50,6 +50,17 @@ def test_decompose_rejects_asymmetric():
         decompose(M)
 
 
+def test_decompose_rejects_a_matrix_that_is_not_psd():
+    with pytest.raises(SpectraError, match=r"^matrix is not positive semidefinite \(lambda_min=-1\.0\)$"):
+        decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_power_coefficients_reject_a_negative_k():
+    dec = decompose(_lap())
+    with pytest.raises(SpectraError, match=r"^negative exponents are not supported$"):
+        spectra.power_coefficients(dec, -1.0)
+
+
 @pytest.mark.parametrize("M, entry", [
     ([[np.nan, 0.0], [0.0, 1.0]], r"\(0, 0\) is not finite: nan"),
     ([[1.0, np.nan], [np.nan, 1.0]], r"\(0, 1\) is not finite: nan"),
