@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, spectra
-from .graph import Graph, GraphError, _integer_in, csr_adjacency, require_connected, require_seed, require_vertex
+from .graph import Graph, GraphError, _integer_in, require_connected, require_seed, require_vertex
 from .harmonic import EdgeScores
 
 
@@ -84,8 +84,8 @@ def edge_betweenness(g: Graph) -> EdgeScores:
     """Shortest-path edge betweenness on the hop metric.
 
     Brandes' accumulation, run for a block of sources at once, one BFS
-    level at a time over `csr_adjacency`.  The key of (source row r,
-    vertex x) is r n + x.  Each level expands the arcs leaving its
+    level at a time over the 2m arcs grouped by tail.  The key of (source
+    row r, vertex x) is r n + x.  Each level expands the arcs leaving its
     frontier; an arc that reaches an unseen key is a shortest-path DAG
     arc and passes its tail's path count sigma on.  Going back, DAG arc
     (x, y) carries sigma(x) (1 + delta(y)) / sigma(y), which is both its
@@ -100,9 +100,12 @@ def edge_betweenness(g: Graph) -> EdgeScores:
     n, m = g.n, g.m
     if m == 0:
         return EdgeScores(np.zeros(0))
-    indptr, heads, edge_ids = csr_adjacency(g)
-    deg = np.diff(indptr)
-    hop = heads - np.repeat(np.arange(n), deg)  # key change along each arc
+    tails = np.stack([g._u, g._v], axis=1).ravel()  # arc 2e runs u -> v, arc 2e+1 v -> u
+    order = np.argsort(tails, kind="stable")  # the arcs leaving each vertex, in edge order, as one run
+    hop = np.stack([g._v, g._u], axis=1).ravel()[order] - tails[order]  # key change along each arc
+    edge_ids = order // 2
+    deg = np.bincount(tails, minlength=n)
+    start = np.cumsum(deg) - deg  # each vertex's first arc
     scores = np.zeros(m)
     step = max(1, _SOURCE_BLOCK_ELEMENTS // (n + 2 * m))
     for lo in range(0, n, step):
@@ -117,7 +120,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
             x = frontier % n
             cnt = deg[x]
             ends = np.cumsum(cnt)
-            arc = np.arange(ends[-1]) + np.repeat(indptr[x] - ends + cnt, cnt)
+            arc = np.arange(ends[-1]) + np.repeat(start[x] - ends + cnt, cnt)
             tail = np.repeat(frontier, cnt)
             head = tail + hop[arc]
             fresh = mark[head] < 0
@@ -225,13 +228,14 @@ def resilience_experiment(
     """
     if not (_integer_in(num_added, 1, np.inf) and _integer_in(trials, 1, np.inf)):
         raise GraphError(f"need num_added >= 1 and trials >= 1, got {num_added} and {trials}")
+    seed = require_seed(seed)
     require_connected(g)
     original = edge_measure(g, measure, k)
     hk = measure_k(measure, k)
     pool = _non_edges(g)
     out = []
     for trial in range(trials):
-        rng = np.random.default_rng([require_seed(seed), trial])
+        rng = np.random.default_rng([seed, trial])
         extra = _sample_non_edges(pool, num_added, rng)
         if hk in (1, 2):
             s, t, w = (np.array(col) for col in zip(*extra))

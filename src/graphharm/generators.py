@@ -8,6 +8,8 @@ attempts.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .graph import (MAX_VERTICES, Graph, GraphError, _integer_in, is_connected, require_count, require_points,
@@ -47,9 +49,9 @@ def balanced_tree(branching: int, depth: int) -> Graph:
     return _unweighted(len(children) + 1, (children - 1) // branching, children)
 
 
-def _check_probability(name: str, p: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise GraphError(f"{name} must be in [0,1], got {p}")
+def _check_probability(name: str, p) -> None:
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise GraphError(f"{name} must be in [0,1], got {p!r}")
 
 
 def _connected_blocks(labels: np.ndarray, p_in: float, p_out: float, seed: int, what: str) -> Graph:
@@ -122,8 +124,8 @@ MODELS = {
     "path": (("n",), lambda n, _: path(n)),
     "star": (("n",), lambda n, _: star(n)),
     "balanced_tree": (("branching", "depth"), lambda b, d, _: balanced_tree(b, d)),
-    "erdos_renyi": (("n", "p"), lambda n, p, seed: erdos_renyi(n, float(p), seed)),
-    "sbm": (("sizes", "p_in", "p_out"), lambda sizes, p_in, p_out, seed: sbm(sizes, float(p_in), float(p_out), seed)),
+    "erdos_renyi": (("n", "p"), erdos_renyi),
+    "sbm": (("sizes", "p_in", "p_out"), sbm),
     "knn": (("points", "k"), lambda points, k, _: knn(points, k)),
 }
 

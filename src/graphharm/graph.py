@@ -291,20 +291,6 @@ def require_points(points) -> np.ndarray:
     return pts
 
 
-def csr_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, heads, edge ids) of the 2m arcs, grouped by tail.
-
-    One stable argsort of the arcs by tail lists the arcs leaving x at
-    indptr[x]:indptr[x+1], in edge order (arc 2e runs u -> v, arc 2e+1
-    runs v -> u).
-    """
-    tails = np.stack([g._u, g._v], axis=1).ravel()
-    heads = np.stack([g._v, g._u], axis=1).ravel()
-    order = np.argsort(tails, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=g.n))))
-    return indptr, heads[order], order // 2
-
-
 @dataclass(frozen=True)
 class Cut:
     """A vertex bipartition (S, V\\S) with its crossing edges and ratio."""

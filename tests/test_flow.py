@@ -209,6 +209,15 @@ def test_resilience_rejects_more_edges_than_the_non_edges():
         resilience_experiment(generators.path(4), "resistance", num_added=4, trials=1, seed=0)
 
 
+def test_resilience_checks_the_seed_before_any_decomposition(monkeypatch):
+    calls = []
+    decompose = spectra.decompose
+    monkeypatch.setattr(spectra, "decompose", lambda L: calls.append(len(L)) or decompose(L))
+    with pytest.raises(GraphError, match=r"^seed -1 is not a nonnegative integer$"):
+        resilience_experiment(generators.path(6), "resistance", 1, 1, -1)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "g", [generators.complete(9), Graph(12, [(i, (i + 1) % 12, 1.0) for i in range(12)])]
 )

@@ -45,11 +45,18 @@ def test_sbm_labels_and_block_structure():
     assert within > g.m / 2
 
 
-@pytest.mark.parametrize("p_in, p_out", [(1.5, 0.1), (-0.2, 0.1), (float("nan"), 0.1), (0.5, 2.0), (0.5, float("nan"))])
+@pytest.mark.parametrize("p_in, p_out", [(1.5, 0.1), (-0.2, 0.1), (float("nan"), 0.1), (0.5, 2.0), (0.5, float("nan")),
+                                         ("0.5", 0.1), (True, 0.1), (0.5, None)])
 def test_sbm_rejects_bad_probabilities(p_in, p_out):
     with pytest.raises(GraphError, match=r"must be in \[0,1\]") as info:
         generators.sbm([5, 5], p_in, p_out, seed=0)
     assert not isinstance(info.value, GenerationError)
+
+
+@pytest.mark.parametrize("p", ["0.5", None, True, np.True_])
+def test_erdos_renyi_rejects_a_probability_that_is_not_a_real_number(p):
+    with pytest.raises(GraphError, match=rf"^edge probability must be in \[0,1\], got {re.escape(repr(p))}$"):
+        generators.erdos_renyi(10, p, 0)
 
 
 def test_knn_graph_is_symmetric_union():

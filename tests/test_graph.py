@@ -363,13 +363,20 @@ def _brute_bridges(g):
     return [e for e in range(g.m) if len(_plain_components(g.without_edge(e))) > count]
 
 
+@pytest.mark.parametrize("degree", [2.2, 4.0])  # 4.0 draws triangles, whose edges are never searched
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=14))
-def test_bridges_match_removal_oracle(seed, n):
-    g = generators.erdos_renyi(n, 2.2 / n, seed)
+def test_bridges_match_removal_oracle(degree, seed, n):
+    g = generators.erdos_renyi(n, degree / n, seed)
     if g.m > 50:
         return
     assert bridges(g) == _brute_bridges(g)
+
+
+def test_bridges_of_two_squares_joined_by_a_path():
+    # no triangle, so every edge is searched; only the path edges 4 and 5 cut the graph
+    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 5)])
+    assert bridges(g) == [4, 5]
 
 
 def _random_forest(n, rng):
@@ -486,6 +493,8 @@ _COUNT_ARGUMENTS = {
     "generate n": (lambda x: generators.generate("path", {"n": x}), r"^vertex count|^model path requires n$", 3),
     "require_seed": (require_seed, r"^seed ", 3),
     "run_suite trials": (lambda x: validate.run_suite(["foster"], n_range=(8, 9), trials=x), r"^trials ", 1),
+    "run_suite n_min": (lambda x: validate.run_suite(["foster"], n_range=(x, 9), trials=1), r"^n_min ", 8),
+    "run_suite n_max": (lambda x: validate.run_suite(["foster"], n_range=(8, x), trials=1), r"^n_max ", 9),
 }
 
 
