@@ -118,20 +118,27 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
     """Delete the globally maximal edge until >= c components remain.
 
     Each edge is scored within its connected component, in one loop over g's
-    edge arrays with an alive mask; only a piece scored afresh is built, as a
-    Graph on slices of them (`connected_subgraph`).  A deletion changes only
-    the component that held the edge, so only it is scored again, and a test
-    on its remaining edges (`component_labels`) decides whether it split:
+    edge arrays with an alive mask, and a deletion re-scores only the
+    component that held the edge.  An edge whose ends keep a common
+    neighbour, read off an n x n matrix of alive adjacency, lay on a cycle;
+    only after any other does a search of the remaining edges
+    (`component_labels`) decide whether the component split.  When the
+    scores are read off L^+ or (L^+)^2 (`flow.measure_k` 1 or 2), each
+    component keeps both matrices:
 
-    - if it did not, and the scores are read off L^+ or (L^+)^2
-      (`flow.measure_k` 1 or 2), the component's matrices take the rank-one
-      `spectra.pinv_update` in O(n^2) and its scores are read off them
-      in O(m);
-    - otherwise each piece is decomposed and scored afresh.  So is a
-      deletion with 1 - w_e R_e below sqrt(eps), where the update would
-      divide by a near-zero, and every deletion under `betweenness` or a
-      k other than 1 or 2.
+    - if it did not split, they take the rank-one `spectra.pinv_update` in
+      O(n^2) and the scores are read off them in O(m), unless
+      1 - w_e R_e < sqrt(eps), where the update would divide by a near-zero
+      (`_delete_edge`);
+    - if it split, each piece inherits them from the parent's, taken before
+      the bridge went (`_inherit`): for sides S and T, L_S^+ = J P_SS J and
+      (L_S^+)^2 = J (Q_SS - P_ST P_TS - p p^T / |S|) J, p = P_SS 1,
+      J = I - 1 1^T / |S|, unless the piece's max|L_S^+| < sqrt(eps) times
+      the parent's max|L^+|, where the centring has cancelled its digits.
 
+    Any other piece is scored afresh: under `betweenness` by
+    `flow._betweenness` on its relabelled edges, else from a fresh
+    decomposition of a Graph on slices of g's arrays (`connected_subgraph`).
     `top_edge` (`harmonic.top_of_ties`) deletes the lowest edge index in the
     top tie group of `harmonic.tie_groups`, so the run is deterministic.
     `validate._girvan_newman_reference` is the loop that rebuilds the
@@ -141,47 +148,81 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
         raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
     if measure not in GN_MEASURES:
         raise GraphError(f"unknown GN measure {measure!r}; choose from {GN_MEASURES}")
-    order = {1: 1, 2: 2}.get(flow.measure_k(measure, k))  # the power of L^+ the scores are read off, if any
+    hk = flow.measure_k(measure, k)  # None: betweenness, the one GN measure not read off a decomposition
+    order = {1: 1, 2: 2}.get(hk)  # the power of L^+ the scores are read off, if any
     u, v, w = g._u, g._v, g._w
     alive = np.ones(g.m, dtype=bool)
+    adj = np.zeros((g.n, g.n), dtype=bool)  # the alive edges' adjacency
+    adj[u, v] = adj[v, u] = True
     label = component_labels(g.n, u, v)  # each vertex's component, named by its smallest member
     pos = np.empty(g.n, dtype=np.int64)  # each vertex's index within its component
     scores = np.empty(g.m)  # latest score of each edge
     pinv = {}  # component label -> its (L^+, (L^+)^2 or None), or None without order
     roots = np.flatnonzero(label == np.arange(g.n))
-    stale = [(np.flatnonzero(label == r), np.flatnonzero(label[u] == r)) for r in roots]
+    stale = [(np.flatnonzero(label == r), np.flatnonzero(label[u] == r), None) for r in roots]
     count = len(roots)
     while count < c and alive.any():
-        for verts, ids in stale:  # connected pieces: ascending vertices, edge ids
+        for verts, ids, parent in stale:  # connected pieces: ascending vertices, edge ids, `_inherit`'s input
             pos[verts] = np.arange(len(verts))
             if len(ids):
-                pinv[verts[0]] = _score_piece(g, verts, ids, measure, k, order, scores)
+                pinv[verts[0]] = _score_piece(g, verts, ids, pos, parent, hk, order, scores)
         live = np.flatnonzero(alive)
         e = live[top_edge(scores[live])]
-        alive[e] = False
-        root = label[u[e]]
+        a, b = u[e], v[e]
+        alive[e] = adj[a, b] = adj[b, a] = False
+        root = label[a]
         verts = np.flatnonzero(label == root)
         ids = np.flatnonzero(alive & (label[u] == root))
         lu, lv = pos[u[ids]], pos[v[ids]]
-        parts = component_labels(len(verts), lu, lv)
-        if not parts.any() and _delete_edge(pinv[root], pos[u[e]], pos[v[e]], w[e]):
+        on_cycle = (adj[a] & adj[b]).any()
+        parts = np.zeros(len(verts), dtype=np.int64) if on_cycle else component_labels(len(verts), lu, lv)
+        if not parts.any() and _delete_edge(pinv[root], pos[a], pos[b], w[e]):
             scores[ids] = spectra.quadratic_reads(pinv[root][order - 1], lu, lv)
             stale = []
         else:
             pieces = np.flatnonzero(parts == np.arange(len(verts)))
-            stale = [(verts[parts == r], ids[parts[lu] == r]) for r in pieces]
+            split = pinv[root] if len(pieces) > 1 else None  # a bridge went: its pieces inherit
+            stale = [(verts[parts == r], ids[parts[lu] == r], None if split is None else (split, parts == r))
+                     for r in pieces]
             label[verts] = verts[parts]
             count += len(pieces) - 1
             del pinv[root]
     return Clustering(np.unique(label, return_inverse=True)[1], count)
 
 
-def _score_piece(g, verts, ids, measure, k, order, scores):
-    """Score a connected piece of g afresh; return its (L^+, (L^+)^2 or
-    None) when the scores are read off them (order 1 or 2), else None."""
+def _score_piece(g, verts, ids, pos, parent, hk, order, scores):
+    """Score a connected piece of g by (H^hk_e)^2, or by betweenness when hk is None; return the (L^+,
+    (L^+)^2 or None) that order 1 or 2 reads the scores off, inherited from `parent` (`_inherit`) when
+    the guard allows, else None."""
+    lu, lv = pos[g._u[ids]], pos[g._v[ids]]
+    pinv = None if parent is None else _inherit(*parent)
+    if pinv is not None:
+        scores[ids] = spectra.quadratic_reads(pinv[order - 1], lu, lv)
+        return pinv
+    if hk is None:
+        scores[ids] = flow._betweenness(len(verts), lu, lv)
+        return None
     sub = connected_subgraph(g, verts, ids)
-    scores[ids] = flow.edge_measure(sub, measure, k).values
+    scores[ids] = harmonic.edge_kharmonic_sq(sub, hk).values
     return spectra.pinv_powers(harmonic.decomposition(sub), order) if order else None
+
+
+def _inherit(pinv, inside):
+    """The (L_S^+, (L_S^+)^2 or None) of side S (mask `inside`) of a bridge, from the parent's (P, Q or None)
+    with the bridge (`girvan_newman`), in O(|S|^2 (1 + |T|)); None when max|L_S^+| < sqrt(eps) max|P|.
+    J M J is M less its row and column means r, plus its mean."""
+    P, Q = pinv
+    S = np.ix_(inside, inside)
+    r = P[S].mean(axis=1)  # p / |S|
+    P_S = P[S] - (r[:, None] + r) + r.mean()
+    if np.abs(P_S).max() < _SQRT_EPS * np.abs(P).max():
+        return None
+    if Q is None:
+        return P_S, None
+    P_ST = P[np.ix_(inside, ~inside)]
+    M = Q[S] - P_ST @ P_ST.T - len(r) * np.outer(r, r)
+    r = M.mean(axis=1)
+    return P_S, M - (r[:, None] + r) + r.mean()
 
 
 def _delete_edge(pinv, a, b, w) -> bool:

@@ -81,28 +81,35 @@ _SOURCE_BLOCK_ELEMENTS = 2**18
 
 
 def edge_betweenness(g: Graph) -> EdgeScores:
-    """Shortest-path edge betweenness on the hop metric.
+    """Shortest-path edge betweenness on the hop metric (`_betweenness`) of a connected g."""
+    require_connected(g)
+    return EdgeScores(_betweenness(g.n, g._u, g._v))
+
+
+def _betweenness(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Edge betweenness of the edges (u, v), which must connect 0..n-1.
 
     Brandes' accumulation, run for a block of sources at once, one BFS
     level at a time over the 2m arcs grouped by tail.  The key of (source
     row r, vertex x) is r n + x.  Each level expands the arcs leaving its
     frontier; an arc that reaches an unseen key is a shortest-path DAG
-    arc and passes its tail's path count sigma on.  Going back, DAG arc
-    (x, y) carries sigma(x) (1 + delta(y)) / sigma(y), which is both its
-    edge's share and x's gain in delta.  The work is O(n m) in all, but
-    every BFS level costs one round of numpy steps per block of sources,
-    so on a graph of diameter D the about D n / block rounds dominate: a
-    long path pays in step overhead, not in arithmetic.  Path counts are
-    integers, exact in float64 up to 2**53.  Each unordered pair is
-    counted from both ends.
+    arc and passes its tail's path count sigma on.  A block of b sources
+    has b (n - 1) keys to reach; once every one is, the BFS stops, so the
+    last level's arcs, which reach nothing new, are never expanded.  Going
+    back, DAG arc (x, y) carries sigma(x) (1 + delta(y)) / sigma(y), which
+    is both its edge's share and x's gain in delta.  The work is O(n m) in
+    all, but every BFS level costs one round of numpy steps per block of
+    sources, so on a graph of diameter D the about D n / block rounds
+    dominate: a long path pays in step overhead, not in arithmetic.  Path
+    counts are integers, exact in float64 up to 2**53.  Each unordered
+    pair is counted from both ends.
     """
-    require_connected(g)
-    n, m = g.n, g.m
+    m = len(u)
     if m == 0:
-        return EdgeScores(np.zeros(0))
-    tails = np.stack([g._u, g._v], axis=1).ravel()  # arc 2e runs u -> v, arc 2e+1 v -> u
+        return np.zeros(0)
+    tails = np.stack([u, v], axis=1).ravel()  # arc 2e runs u -> v, arc 2e+1 v -> u
     order = np.argsort(tails, kind="stable")  # the arcs leaving each vertex, in edge order, as one run
-    hop = np.stack([g._v, g._u], axis=1).ravel()[order] - tails[order]  # key change along each arc
+    hop = np.stack([v, u], axis=1).ravel()[order] - tails[order]  # key change along each arc
     edge_ids = order // 2
     deg = np.bincount(tails, minlength=n)
     start = np.cumsum(deg) - deg  # each vertex's first arc
@@ -115,8 +122,9 @@ def edge_betweenness(g: Graph) -> EdgeScores:
         sigma[frontier] = 1.0
         mark = np.full(b * n, -1)  # >= 0 once a key is reached
         mark[frontier] = 0
+        unseen = b * (n - 1)
         dag = []  # per level: tail keys, head keys, arc indices
-        while True:
+        while unseen:
             x = frontier % n
             cnt = deg[x]
             ends = np.cumsum(cnt)
@@ -124,12 +132,11 @@ def edge_betweenness(g: Graph) -> EdgeScores:
             tail = np.repeat(frontier, cnt)
             head = tail + hop[arc]
             fresh = mark[head] < 0
-            if not fresh.any():
-                break
             tail, head, arc = tail[fresh], head[fresh], arc[fresh]
             pos = np.arange(len(head))
             mark[head] = pos
             frontier = head[mark[head] == pos]  # each new key once
+            unseen -= len(frontier)
             np.add.at(sigma, head, sigma[tail])
             dag.append((tail, head, arc))
         delta = np.zeros(b * n)
@@ -140,7 +147,7 @@ def edge_betweenness(g: Graph) -> EdgeScores:
             shares.append(share)
         arcs = np.concatenate([arc for _, _, arc in reversed(dag)])
         scores += np.bincount(edge_ids[arcs], np.concatenate(shares), minlength=m)
-    return EdgeScores(scores / 2.0)
+    return scores / 2.0
 
 
 def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
@@ -150,13 +157,13 @@ def spearman(scores_a: EdgeScores, scores_b: EdgeScores) -> float:
         raise GraphError(f"edge sets differ in size ({len(a)} vs {len(b)})")
     if len(a) < 2:
         raise GraphError("need at least 2 edges for a rank correlation")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise GraphError("scores must be finite to be ranked")
     return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; each tie group (`harmonic.tie_groups`) gets the mean of its positions."""
+    """1-based ranks of finite x; each tie group (`harmonic.tie_groups`) gets the mean of its positions."""
+    if not np.all(np.isfinite(x)):
+        raise GraphError("scores must be finite to be ranked")
     groups = harmonic.tie_groups(x)
     counts = np.bincount(groups)
     if len(counts) == 1:
@@ -220,7 +227,7 @@ def resilience_experiment(
 
     Each trial adds `num_added` uniformly random non-edges (derived
     sub-seed), recomputes the measure, and correlates the scores on the
-    ORIGINAL edges only.  A measure read off L^+ or (L^+)^2
+    ORIGINAL edges only, which are ranked once.  A measure read off L^+ or (L^+)^2
     (`measure_k` 1 or 2) adds to its scores the change that one
     rank-`num_added` Woodbury update makes (`spectra.pinv_update_reads`),
     O(n^2 a + m a) from g's eigenvectors; any other measure is recomputed
@@ -233,7 +240,7 @@ def resilience_experiment(
     original = edge_measure(g, measure, k)
     hk = measure_k(measure, k)
     pool = _non_edges(g)
-    out = []
+    out, ranks = [], None
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         extra = _sample_non_edges(pool, num_added, rng)
@@ -243,5 +250,6 @@ def resilience_experiment(
             values = original.values + spectra.pinv_update_reads(dec, hk, s, t, w, g._u, g._v)
         else:
             values = edge_measure(g.with_edges_added(extra), measure, k).values[: g.m]
-        out.append(spearman(original, EdgeScores(values)))
+        ranks = _average_ranks(original.values) if ranks is None else ranks  # once, after the first sample
+        out.append(float(np.corrcoef(np.vstack([ranks, _average_ranks(values)]))[1, 0]))  # as `spearman`
     return out

@@ -8,6 +8,7 @@ edge, and all flow signs are taken relative to the stored orientation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,8 +42,9 @@ class Graph:
     in the read-only arrays ``_u``, ``_v``, ``_w``.  Every Graph is checked
     when built: a row of another length or an n that is not an integer in
     0..`MAX_VERTICES` raises `GraphError`; the first edge with an endpoint not
-    an integer in 0..n-1, a self-loop, a weight not finite and > 0, or an
-    earlier edge's unordered pair raises `EdgeError`, naming the first rule it breaks.
+    an integer in 0..n-1, a self-loop, a weight not a finite `numbers.Real` > 0 (a
+    bool is none), or an earlier edge's unordered pair raises `EdgeError`, naming the
+    first rule it breaks.
     """
 
     n: int
@@ -69,9 +71,9 @@ class Graph:
         if _integer_in(n, MAX_VERTICES + 1, np.inf):
             raise GraphError(f"vertex count {n} exceeds the largest supported, {MAX_VERTICES}")
         n = require_count("vertex count", n, 0, MAX_VERTICES)
-        given = u, v  # an error names the endpoints as given
-        (u, frac_u), (v, frac_v) = (_endpoints(x, n) for x in given)
-        w = np.asarray(w, dtype=np.float64)
+        given = u, v, w  # an error names the endpoints, and a weight that is no number, as given
+        (u, frac_u), (v, frac_v) = (_endpoints(x, n) for x in given[:2])
+        w, untyped = _weights(w)
         # one mask per rule, in reporting order; a duplicate repeats an earlier key lo*n + hi
         # (a key shared via a bad endpoint marks nothing before the first bad edge)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -85,7 +87,7 @@ class Graph:
             e = int(bad[0])
             rule = int(np.argmax(rules[:, e]))
             message = ("endpoint is not an integer", f"endpoint out of range 0..{n - 1}", "self-loop",
-                       f"weight must be positive, got {w[e]}", "duplicate edge")[rule]
+                       f"weight must be positive, got {given[2][e] if untyped[e] else w[e]}", "duplicate edge")[rule]
             raise EdgeError(e, given[0][e], given[1][e], message)
         object.__setattr__(self, "n", n)
         for name, x in (("_u", u), ("_v", v), ("_w", w)):
@@ -154,8 +156,8 @@ class Graph:
 
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
-        weights = self._w.copy()
-        weights[require_count("edge", e, 0, self.m - 1)] = float(w)
+        weights = self._w.astype(object)  # w is checked as given, like a row's weight
+        weights[require_count("edge", e, 0, self.m - 1)] = w
         return Graph._from_arrays(self.n, self._u, self._v, weights)
 
     def without_edge(self, e: int) -> "Graph":
@@ -191,6 +193,15 @@ def _endpoints(x, n: int) -> tuple[np.ndarray, np.ndarray]:
         f = np.array([min(max(a, -1), n) if isinstance(a, int) else a for a in x], dtype=np.float64)
     frac = ~(np.isfinite(f) & (f == np.floor(f)))
     return np.where(frac, -1, np.clip(f, -1, n)).astype(np.int64), frac
+
+
+def _weights(w) -> tuple[np.ndarray, np.ndarray]:
+    """A weight column as float64, NaN where an entry is a bool or not a `numbers.Real` (a string, None),
+    and the mask of those entries."""
+    if isinstance(w, np.ndarray) and w.dtype.kind in "fiu":  # the generators' and derivations' columns
+        return w.astype(np.float64, copy=False), np.zeros(len(w), dtype=bool)
+    untyped = np.array([isinstance(x, (bool, np.bool_)) or not isinstance(x, Real) for x in w], dtype=bool)
+    return np.array([np.nan if bad else x for x, bad in zip(w, untyped)], dtype=np.float64), untyped
 
 
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

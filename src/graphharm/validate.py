@@ -508,10 +508,21 @@ def _resilience_reference(g: Graph, measure: str, num_added: int, trials: int, s
 def _check_pinv_updates(g: Graph):
     """L^+ and (L^+)^2 kept by `spectra.pinv_update` against `pinv_power`
     of a fresh decomposition, after one non-bridge deletion and then a few
-    added non-edges; Girvan-Newman and the resilience correlations against
-    the routes that recompute."""
+    added non-edges; at g's first bridge, if any, each piece's pair as
+    Girvan-Newman inherits it (`cluster._inherit`) against the same of the
+    piece, a single vertex aside; Girvan-Newman and the resilience
+    correlations against the routes that recompute."""
     P, Q = spectra.pinv_powers(harmonic.decomposition(g), 2)
     sides = []
+    for e, label in list(_bridge_labels(g).items())[:1]:
+        cut = g.without_edge(e)
+        for root in np.unique(label):
+            inside = label == root
+            if np.count_nonzero(inside) > 1:
+                piece = connected_subgraph(cut, np.flatnonzero(inside), np.flatnonzero(inside[cut._u]))
+                dec = spectra.decompose(piece.laplacian())
+                inherited = cluster._inherit((P, Q), inside) or (np.inf, np.inf)  # None: the guard refused
+                sides += [(inherited[0], spectra.pinv_power(dec, 1.0)), (inherited[1], spectra.pinv_power(dec, 2.0))]
     e = next(iter(_non_bridges(g).tolist()), None)
     if e is not None:
         spectra.pinv_update(P, Q, g._u[[e]], g._v[[e]], -g._w[[e]])

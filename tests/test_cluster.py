@@ -254,18 +254,36 @@ def test_girvan_newman_breaks_ties_up_to_rounding_toward_the_lowest_index(barbel
     assert cluster.top_edge(np.array([1.0, 3.0 - 1e-9, 3.0, 2.0])) == 2
 
 
-def test_girvan_newman_decomposes_once_per_split(monkeypatch):
-    # the cluster-sbm biharmonic2 input (78 deletions) sheds two single
-    # vertices: one decomposition of the whole graph, one of the 149-vertex
-    # piece left by the first split; the second split ends the run before
-    # its pieces are scored, and every other deletion is a rank-one update
+def _counted_decompositions(monkeypatch):
     calls = []
     decompose = spectra.decompose
     monkeypatch.setattr(spectra, "decompose", lambda L: calls.append(len(L)) or decompose(L))
+    return calls
+
+
+def test_girvan_newman_decomposes_once_per_split(monkeypatch):
+    # the cluster-sbm biharmonic2 input (78 deletions) sheds two single
+    # vertices: one decomposition of the whole graph; the 149-vertex piece
+    # left by the first split inherits its matrices from the whole graph's,
+    # the second split ends the run before its pieces are scored, and every
+    # other deletion is a rank-one update
+    calls = _counted_decompositions(monkeypatch)
     g, _ = generators.sbm([50] * 3, 0.6, 0.2, 0)
     res = girvan_newman(g, 3, "biharmonic2")
-    assert calls == [150, 149]
+    assert calls == [150]
     assert sorted(np.bincount(res.assignment).tolist()) == [1, 1, 148]
+
+
+@pytest.mark.parametrize("measure, k", [("biharmonic2", 2.0), ("kharmonic2", 1.0)])
+def test_girvan_newman_rebuilds_a_piece_whose_inherited_matrices_lost_their_digits(monkeypatch, measure, k):
+    # once the light path's edges go, the parent's L^+ holds entries near
+    # 1e9 and a clique's own are near 1, below sqrt(eps) of them: that piece
+    # is decomposed afresh instead of inheriting
+    calls = _counted_decompositions(monkeypatch)
+    g = _heavy_edge_beside_light_path()
+    res = girvan_newman(g, 4, measure, k)
+    assert len(calls) > 1
+    assert res.assignment.tolist() == validate._girvan_newman_reference(g, 4, measure, k).tolist()
 
 
 def test_girvan_newman_rejects_unknown_measure(barbell):

@@ -89,6 +89,10 @@ def _outcome(build, n, edges):
         (((0, 1, float("inf")),), 0, "weight must be positive, got inf"),
         (((0, 1, 0.0),), 0, "weight must be positive, got 0.0"),
         (((0, 1, -1.0),), 0, "weight must be positive, got -1.0"),
+        (((0, 1, "2"),), 0, "weight must be positive, got 2"),
+        (((0, 1, True),), 0, "weight must be positive, got True"),
+        (((0, 1, None),), 0, "weight must be positive, got None"),
+        (((0, 1, 2.0), (1, 2, True)), 1, "weight must be positive, got True"),  # numpy would read 1.0
         (((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)), 2, "duplicate edge"),
         (((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)), 1, "duplicate edge"),
         # the first rule an edge breaks names it
@@ -119,7 +123,7 @@ def test_constructor_rejects_a_vertex_count_beyond_the_key_range():
     assert Graph(MAX_VERTICES, ((0, MAX_VERTICES - 1, 1.0),)).m == 1
 
 
-@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0, "1", True, np.True_])
 def test_with_weight_is_checked(p3, w):
     with pytest.raises(EdgeError, match=f"edge 1 \\(1,2\\): weight must be positive, got {w}"):
         p3.with_weight(1, w)
