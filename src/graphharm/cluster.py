@@ -94,6 +94,8 @@ def kharmonic_kmeans(g: Graph, c: int, k: float, seed: int) -> Clustering:
 
 def low_rank_kharmonic_kmeans(g: Graph, c: int, k: float, r: int | None = None, seed: int = 0) -> Clustering:
     """k-means over the rank-r k-harmonic embedding; r defaults to c."""
+    if _integer_in(c, -np.inf, 0):  # named as the cluster count before it is read as a rank
+        raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
     r = c if r is None else r
     return kmeans(spectra.embedding(harmonic._connected_dec(g), k, r), c, seed)[0]
 
@@ -105,6 +107,8 @@ def spectral_clustering(g: Graph, c: int, seed: int) -> Clustering:
     eigenvalues, unweighted; this is the k -> 0 limit of the rank-c
     k-harmonic embedding.
     """
+    if _integer_in(c, -np.inf, 0):  # named as the cluster count before it is read as a rank
+        raise GraphError(f"cannot form c={c} clusters on {g.n} vertices")
     if c >= g.n:
         raise GraphError(f"spectral clustering needs c < n, got c={c}, n={g.n}")
     return kmeans(spectra.embedding(harmonic._connected_dec(g), 0.0, c), c, seed)[0]
@@ -137,8 +141,9 @@ def girvan_newman(g: Graph, c: int, measure: str = "biharmonic2", k: float = 2.0
       the parent's max|L^+|, where the centring has cancelled its digits.
 
     Any other piece is scored afresh: under `betweenness` by
-    `flow._betweenness` on its relabelled edges, else from a fresh
-    decomposition of a Graph on slices of g's arrays (`connected_subgraph`).
+    `flow._betweenness` on its relabelled edges, else from g's own
+    decomposition (`harmonic.decomposition`) when the piece is all of g, or
+    from a fresh one of a Graph on slices of g's arrays (`connected_subgraph`).
     `top_edge` (`harmonic.top_of_ties`) deletes the lowest edge index in the
     top tie group of `harmonic.tie_groups`, so the run is deterministic.
     `validate._girvan_newman_reference` is the loop that rebuilds the
@@ -202,7 +207,7 @@ def _score_piece(g, verts, ids, pos, parent, hk, order, scores):
     if hk is None:
         scores[ids] = flow._betweenness(len(verts), lu, lv)
         return None
-    sub = connected_subgraph(g, verts, ids)
+    sub = g if len(verts) == g.n and len(ids) == g.m else connected_subgraph(g, verts, ids)  # g: its memoised dec
     scores[ids] = harmonic.edge_kharmonic_sq(sub, hk).values
     return spectra.pinv_powers(harmonic.decomposition(sub), order) if order else None
 

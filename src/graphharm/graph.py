@@ -290,7 +290,10 @@ def require_seed(seed) -> int:
 def require_points(points) -> np.ndarray:
     """points as a float64 n x d array, d >= 1, with every coordinate finite and at most sqrt(float64 max / 4d)
     in size, less rounding room, so no squared distance overflows; points that pass cost a max and a min pass."""
-    pts = np.asarray(points, dtype=np.float64)
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # strings, ragged rows
+        raise GraphError(f"points must be an n x d array of real numbers: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] == 0:
         raise GraphError(f"points must be an n x d array with d >= 1, got shape {pts.shape}")
     bound = np.sqrt(np.finfo(np.float64).max * (1 - 1e-9) / (4 * pts.shape[1]))  # 1e-9: room for rounding

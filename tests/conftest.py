@@ -35,3 +35,10 @@ def random_weighted(n: int, p: float, seed: int, lo=0.5, hi=2.0) -> Graph:
     rng = np.random.default_rng([seed, 1])
     g = generators.erdos_renyi(n, p, seed)
     return Graph(g.n, tuple((u, v, float(rng.uniform(lo, hi))) for u, v, _ in g.edges))
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    """g with its edge list in a random order and each edge's ends in a random orientation."""
+    rng = np.random.default_rng(seed)
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+    return Graph(g.n, [edges[i] for i in rng.permutation(g.m)])

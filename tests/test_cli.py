@@ -147,7 +147,8 @@ def test_empty_resilience_experiment_is_usage_error(graph_file, capsys, measure,
 @pytest.mark.parametrize("algo, clusters, message", [
     ("gn", "0", "cannot form c=0 clusters on 16 vertices"),
     ("kmeans", "-1", "cannot form c=-1 clusters from 16 points"),
-    ("spectral", "0", "rank r=0 is not an integer in 1..15"),
+    ("spectral", "0", "cannot form c=0 clusters on 16 vertices"),
+    ("lowrank", "0", "cannot form c=0 clusters on 16 vertices"),
 ])
 def test_cluster_count_below_one_is_usage_error(graph_file, capsys, algo, clusters, message):
     path, _ = graph_file

@@ -274,6 +274,25 @@ def test_girvan_newman_decomposes_once_per_split(monkeypatch):
     assert sorted(np.bincount(res.assignment).tolist()) == [1, 1, 148]
 
 
+def test_girvan_newman_reads_its_input_decomposition(monkeypatch):
+    # a connected input is scored as itself, so its decomposition is memoised
+    # on it: a second run on the same graph decomposes nothing
+    g, _ = generators.sbm([20] * 3, 0.5, 0.05, 0)
+    calls = _counted_decompositions(monkeypatch)
+    first = girvan_newman(g, 3, "biharmonic2")
+    assert calls == [60]
+    second = girvan_newman(g, 3, "biharmonic2")
+    assert calls == [60]
+    assert second.assignment.tolist() == first.assignment.tolist()
+
+
+@pytest.mark.parametrize("measure, k", [("biharmonic2", 2.0), ("kharmonic2", 2.5), ("betweenness", 2.0)])
+def test_girvan_newman_clusters_edges_beside_an_isolated_vertex(barbell, measure, k):
+    # the edges span all but vertex 6, so their piece is not all of g
+    g = Graph(7, barbell.edges)
+    assert girvan_newman(g, 3, measure, k).assignment.tolist() == [0, 0, 0, 1, 1, 1, 2]
+
+
 @pytest.mark.parametrize("measure, k", [("biharmonic2", 2.0), ("kharmonic2", 1.0)])
 def test_girvan_newman_rebuilds_a_piece_whose_inherited_matrices_lost_their_digits(monkeypatch, measure, k):
     # once the light path's edges go, the parent's L^+ holds entries near

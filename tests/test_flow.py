@@ -20,7 +20,7 @@ from graphharm.flow import (
 from graphharm.graph import Graph, GraphError
 from graphharm.harmonic import EdgeScores
 from graphharm.validate import min_norm_certificate
-from conftest import random_weighted
+from conftest import random_weighted, shuffled
 
 
 def test_path_potential_values(p3):
@@ -149,13 +149,24 @@ def test_betweenness_counts_k4(k4):
     lambda: validate.sample_graph("tree", 30, seed=2),
     lambda: generators.path(9),
     lambda: _grid(5, 7),
-], ids=["er40", "sbm36", "tree30", "path9", "grid5x7"])
+    lambda: generators.erdos_renyi(120, 0.1, 1),
+    lambda: shuffled(generators.erdos_renyi(120, 0.1, 1), 5),
+    lambda: generators.sbm([20] * 3, 0.5, 0.05, 0)[0],
+    lambda: shuffled(generators.sbm([20] * 3, 0.5, 0.05, 0)[0], 5),
+    lambda: generators.sbm([50] * 3, 0.6, 0.2, 0)[0],
+    lambda: shuffled(generators.balanced_tree(3, 4), 5),
+    lambda: shuffled(generators.path(60), 5),
+], ids=["er40", "sbm36", "tree30", "path9", "grid5x7", "er120", "er120-shuffled", "sbm20x3", "sbm20x3-shuffled",
+        "sbm50x3", "tree3,4-shuffled", "path60-shuffled"])
 def test_betweenness_matches_brandes_loop(monkeypatch, make, block):
-    # block elements 1 and 7 force one and a few sources per block
+    # block elements 1 and 7 force one and a few sources per block; dense
+    # and sparse, deep and shallow inputs, in generator order and shuffled:
+    # the kernel agrees with Brandes' loop whichever way its BFS runs
     g = make()
     monkeypatch.setattr(flow, "_SOURCE_BLOCK_ELEMENTS", block)
     expect = validate._betweenness_reference(g)
-    assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(flow._betweenness(g.n, g._u, g._v), expect, rtol=1e-13, atol=0)
+    assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-13, atol=0)
 
 
 def _grid(rows, cols):

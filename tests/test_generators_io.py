@@ -82,6 +82,11 @@ def test_knn_rejects_a_point_that_is_not_finite(bad):
         generators.knn(pts, 1)
 
 
+def test_knn_rejects_points_that_are_not_numbers():
+    with pytest.raises(GraphError, match=r"^points must be an n x d array of real numbers: could not convert string"):
+        generators.knn([["a", "b"]], 1)
+
+
 def test_knn_rejects_points_whose_squared_distances_overflow():
     # the squared distances would be inf, and point 0 would pick itself as a self-loop
     with pytest.raises(GraphError, match=r"^point 1 has a coordinate beyond ±6.7e\+153, where squared distances overflow"):

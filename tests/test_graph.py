@@ -463,7 +463,9 @@ def test_points_at_the_coordinate_bound_give_finite_distances(d):
     ([[0.0, 1.0], [1e200, 0.0], [np.nan, 0.0]], r"^point 1 has a coordinate beyond ±.*: \[1e\+200, 0.0\]$"),
     ([[0.0, 1.0], [np.nan, 0.0], [1e200, 0.0]], r"^point 1 has a coordinate that is not finite: \[nan, 0.0\]$"),
     ([[0.0], [-np.inf]], r"^point 1 has a coordinate that is not finite: \[-inf\]$"),
-], ids=["1-D", "no-coordinates", "3-D", "huge-first", "nan-first", "-inf"])
+    ([["a", "b"]], r"^points must be an n x d array of real numbers: could not convert string to float: 'a'$"),
+    ([[0.0], [1.0, 2.0]], r"^points must be an n x d array of real numbers: .*inhomogeneous shape"),
+], ids=["1-D", "no-coordinates", "3-D", "huge-first", "nan-first", "-inf", "strings", "ragged"])
 def test_require_points_names_the_first_bad_point(points, message):
     with pytest.raises(GraphError, match=message):
         require_points(points)
