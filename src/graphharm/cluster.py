@@ -225,7 +225,7 @@ def _inherit(pinv, inside):
     if Q is None:
         return P_S, None
     P_ST = P[np.ix_(inside, ~inside)]
-    M = Q[S] - P_ST @ P_ST.T - len(r) * np.outer(r, r)
+    M = Q[S] - np.dot(P_ST, P_ST.T) - len(r) * np.outer(r, r)  # np.dot: BLAS at |T| = 1 (`spectra.pinv_update`)
     r = M.mean(axis=1)
     return P_S, M - (r[:, None] + r) + r.mean()
 

@@ -156,7 +156,8 @@ class Graph:
 
     def with_weight(self, e: int, w: float) -> "Graph":
         """Copy of the graph with edge e reweighted."""
-        weights = self._w.astype(object)  # w is checked as given, like a row's weight
+        # only w is checked entry by entry; a w that is no number goes in as given, for the EdgeError to show
+        weights = self._w.astype(object) if _weights([w])[1][0] else self._w.copy()
         weights[require_count("edge", e, 0, self.m - 1)] = w
         return Graph._from_arrays(self.n, self._u, self._v, weights)
 

@@ -48,9 +48,18 @@ def top_of_ties(x: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class EdgeScores:
-    """Per-edge scores, ranked by descending tie group (`tie_groups`), then ascending edge index."""
+    """Per-edge scores (1-D float64), ranked by descending tie group (`tie_groups`), then ascending edge index."""
 
     values: np.ndarray
+
+    def __post_init__(self):
+        try:
+            values = np.asarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # strings, complex numbers, ragged rows
+            raise GraphError(f"scores must be a 1-D array of real numbers: {exc}") from None
+        if values.ndim != 1:
+            raise GraphError(f"scores must be a 1-D array, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @property
     def ranking(self) -> np.ndarray:

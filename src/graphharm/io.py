@@ -59,7 +59,7 @@ def load_edge_list(path) -> Graph:
     if declared_n is None:
         declared_n = 1 + max(max(us, default=-1), max(vs, default=-1))
     try:
-        return Graph._from_arrays(declared_n, us, vs, ws)
+        return Graph._from_arrays(declared_n, us, vs, np.array(ws, dtype=np.float64))  # float() made each weight
     except EdgeError as exc:
         raise ParseError(path, linenos[exc.edge], str(exc)) from exc
     except GraphError as exc:  # the vertex count: the header's, or one past the largest endpoint

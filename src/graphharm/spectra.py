@@ -189,10 +189,10 @@ def pinv_update(P: np.ndarray, Q: np.ndarray | None, s, t, w) -> None:
     U = P[:, s] - P[:, t]
     V = None if Q is None else Q[:, s] - Q[:, t]
     X, W = _woodbury(U, V, s, t, w)
-    P -= X @ U.T
+    P -= np.dot(X, U.T)  # np.dot: BLAS at every a, where matmul loops over an inner dimension of 1
     if Q is not None:
-        Q -= V @ X.T
-        Q -= X @ W.T
+        Q -= np.dot(V, X.T)
+        Q -= np.dot(X, W.T)
 
 
 def pinv_update_reads(dec: SpectralDecomposition, k: int, s, t, w, u, v) -> np.ndarray:

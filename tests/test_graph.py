@@ -123,7 +123,7 @@ def test_constructor_rejects_a_vertex_count_beyond_the_key_range():
     assert Graph(MAX_VERTICES, ((0, MAX_VERTICES - 1, 1.0),)).m == 1
 
 
-@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0, "1", True, np.True_])
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0, "1", True, np.True_, None])
 def test_with_weight_is_checked(p3, w):
     with pytest.raises(EdgeError, match=f"edge 1 \\(1,2\\): weight must be positive, got {w}"):
         p3.with_weight(1, w)

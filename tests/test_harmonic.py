@@ -151,6 +151,21 @@ def test_ranking_breaks_ties_by_index():
     s = EdgeScores(np.array([1.0, 3.0, 1.0, 3.0]))
     assert list(s.ranking) == [1, 3, 0, 2]
     assert list(s.ranks) == [2, 0, 3, 1]
+    listed = EdgeScores([3.0, 1.0])  # any 1-D sequence of reals is kept as float64
+    assert listed.values.dtype == np.float64 and list(listed.ranking) == [0, 1]
+
+
+@pytest.mark.parametrize("values, message", [
+    ("abc", r"^scores must be a 1-D array of real numbers: could not convert string to float: 'abc'$"),
+    ([1.0, "x"], r"^scores must be a 1-D array of real numbers: could not convert string to float: 'x'$"),
+    ([[1.0], [2.0, 3.0]], r"^scores must be a 1-D array of real numbers: .*inhomogeneous shape"),
+    ([[1.0, 2.0]], r"^scores must be a 1-D array, got shape \(1, 2\)$"),
+    (None, r"^scores must be a 1-D array, got shape \(\)$"),
+    (3.0, r"^scores must be a 1-D array, got shape \(\)$"),
+], ids=["string", "string-entry", "ragged", "2-D", "None", "scalar"])
+def test_edge_scores_name_their_shape_or_bad_entry(values, message):
+    with pytest.raises(GraphError, match=message):
+        EdgeScores(values)
 
 
 def test_tie_groups_chain_gaps_up_to_rounding():

@@ -274,6 +274,22 @@ def test_pinv_update_deletes_and_adds_edges():
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
+def test_rank_one_pinv_update_is_the_outer_products_bit_for_bit():
+    # Girvan-Newman's first deletion on the cluster-sbm input; its pinned
+    # assignments rest on these bytes, whichever product routine forms them
+    g, _ = generators.sbm([50] * 3, 0.6, 0.2, 0)
+    P, Q = pinv_powers(harmonic.decomposition(g), 2)
+    e = cluster.top_edge(harmonic.edge_kharmonic_sq(g, 2).values)
+    s, t, w = [g._u[e]], [g._v[e]], [-g._w[e]]
+    U, V = P[:, s] - P[:, t], Q[:, s] - Q[:, t]
+    X, W = spectra._woodbury(U, V, s, t, w)
+    outer = np.multiply.outer
+    expect_P = P - outer(X[:, 0], U[:, 0])
+    expect_Q = Q - outer(V[:, 0], X[:, 0]) - outer(X[:, 0], W[:, 0])
+    pinv_update(P, Q, s, t, w)
+    assert P.tobytes() == expect_P.tobytes() and Q.tobytes() == expect_Q.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_pinv_update_reads_change_the_squared_distances(k):
     g = generators.erdos_renyi(14, 0.5, 5)
