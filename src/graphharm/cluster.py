@@ -218,8 +218,9 @@ def _inherit(pinv, inside):
     J M J is M less its row and column means r, plus its mean."""
     P, Q = pinv
     S = np.ix_(inside, inside)
-    r = P[S].mean(axis=1)  # p / |S|
-    P_S = P[S] - (r[:, None] + r) + r.mean()
+    P_S = P[S]  # gathered once: about 15 ms at |S| = 2,000
+    r = P_S.mean(axis=1)  # p / |S|
+    P_S = P_S - (r[:, None] + r) + r.mean()
     if np.abs(P_S).max() < _SQRT_EPS * np.abs(P).max():
         return None
     if Q is None:

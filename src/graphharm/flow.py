@@ -78,6 +78,7 @@ def current_flow_centrality(g: Graph) -> EdgeScores:
 # A block of BFS sources in edge_betweenness spans about this many entries
 # per temporary (block x n vertex states, block x 2m arc reads).
 _SOURCE_BLOCK_ELEMENTS = 2**18
+_DENSE_PER_EDGE, _DENSE_FLAT_N = 100, 256  # K of `_betweenness`'s route rule, and the n above which K falls as 1 / n
 
 
 def edge_betweenness(g: Graph) -> EdgeScores:
@@ -87,25 +88,55 @@ def edge_betweenness(g: Graph) -> EdgeScores:
 
 
 def _betweenness(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Edge betweenness of the edges (u, v), which must connect 0..n-1.
+    """Edge betweenness of the edges (u, v), which must connect 0..n-1, each unordered pair counted from
+    both ends: by `_betweenness_dense`, O(L n^3) for L levels on BLAS, when n^2 is at most one source block
+    and (depth + 1) n^2 <= K m, depth the level count of a BFS from vertex 0 (K from README's crossover
+    table), else by `_betweenness_blocks`, O(n m) in about D n / block rounds for diameter D."""
+    km = _DENSE_PER_EDGE * _DENSE_FLAT_N * len(u) // max(n, _DENSE_FLAT_N)  # K m, K taken at this n
+    bound = km // (n * n) - 1 if len(u) and n * n <= _SOURCE_BLOCK_ELEMENTS else 0
+    reach = np.arange(n) == 0  # vertex 0, and after each round its next BFS level
+    for _ in range(bound):
+        reach[np.concatenate((v[reach[u]], u[reach[v]]))] = True
+        if reach.all():
+            return _betweenness_dense(n, u, v)
+    return _betweenness_blocks(n, u, v)
 
-    Brandes' accumulation, run for a block of sources at once, one BFS
-    level at a time over the 2m arcs grouped by tail.  The key of (source
-    row r, vertex x) is r n + x.  A level finds the shortest-path DAG arcs
-    into the keys it reaches in the cheaper direction (Beamer, Asanovic &
-    Patterson, SC 2012): top-down, the frontier's arcs that reach an unseen
-    key; bottom-up, once the frontier's keys and arcs outnumber the unseen
-    ones (a tree's leaf level does not), the unseen keys' arcs back to the
-    frontier.  A DAG arc passes its tail's path count sigma on.  A block of
-    b sources has b (n - 1) keys to reach; once every one is, the BFS
-    stops.  Going back, DAG arc (x, y) carries sigma(x) (1 + delta(y)) /
-    sigma(y), which is both its edge's share and x's gain in delta.  The
-    work is O(n m) in all, but every BFS level costs one round of numpy
-    steps per block of sources, so on a graph of diameter D the about
-    D n / block rounds dominate: a long path pays in step overhead, not in
-    arithmetic.  Path counts are integers, exact in float64 up to 2**53.
-    Each unordered pair is counted from both ends.
-    """
+
+def _betweenness_dense(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`_betweenness` for all sources at once on the 0/1 adjacency A, sources as rows (Kepner &
+    Gilbert, "Graph Algorithms in the Language of Linear Algebra", 2011): level d's path counts are
+    S_d = S_{d-1} A on the keys not yet reached; back, C = (1 + delta) / sigma on level d gives
+    delta += S_{d-1} * (C A) and K += S_{d-1}^T C, whose (x, y) sums arc x -> y's shares."""
+    A = np.zeros((n, n))
+    A[u, v] = A[v, u] = 1.0
+    S = sigma = np.eye(n)
+    unseen = sigma == 0
+    dist = unseen.astype(np.int16)  # hops from the row's source: each level adds the keys still unseen
+    while unseen.any():
+        S = S @ A * unseen  # the next level's path counts
+        sigma += S
+        unseen &= S == 0
+        dist += unseen
+    delta, K = np.zeros((n, n)), np.zeros((n, n))
+    for d in range(dist.max(initial=0), 0, -1):
+        C = (1.0 + delta) * (dist == d) / sigma
+        S = sigma * (dist == d - 1)
+        if d > 1:  # the sources' own delta is never read
+            delta += S * (C @ A)
+        K += S.T @ C
+    return (K[u, v] + K[v, u]) / 2.0
+
+
+def _betweenness_blocks(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`_betweenness` by Brandes' accumulation for a block of sources at once, one BFS level at a time over
+    the 2m arcs grouped by tail; the key of (source row r, vertex x) is r n + x.  A level finds the
+    shortest-path DAG arcs into the keys it reaches in the cheaper direction (Beamer, Asanovic & Patterson,
+    SC 2012): top-down, the frontier's arcs that reach an unseen key; bottom-up, once the frontier's keys
+    and arcs outnumber the unseen ones (a tree's leaf level does not), the unseen keys' arcs back to the
+    frontier.  A DAG arc passes its tail's path count sigma on; once a block's b (n - 1) keys are all
+    reached, the BFS stops.  Going back, DAG arc (x, y) carries sigma(x) (1 + delta(y)) / sigma(y), both its
+    edge's share and x's gain in delta.  Each BFS level costs one round of numpy steps per block, so a long
+    path pays in step overhead, not in arithmetic.  Path counts are integers, exact in float64 up to 2**53."""
     m = len(u)
     if m == 0:
         return np.zeros(0)

@@ -320,10 +320,12 @@ def cut_from_side(g: Graph, side) -> Cut:
 
     ratio = n * |E(S, V\\S)| / (|S| * (n - |S|)).
     """
-    side = list(side)
-    if not all(_integer_in(v, 0, g.n - 1) for v in side):
+    ints = isinstance(side, np.ndarray) and side.ndim == 1 and side.dtype.kind in "iu"  # `_integer_in` at once
+    side = side if ints else list(side)
+    valid = 0 <= side.min() <= side.max() < g.n if ints and len(side) else all(_integer_in(v, 0, g.n - 1) for v in side)
+    if not valid:
         raise GraphError("cut side contains an invalid vertex")
-    S = frozenset(int(v) for v in side)
+    S = frozenset(np.asarray(side, dtype=np.int64).tolist())
     if not S or len(S) >= g.n:
         raise GraphError("cut side must be a proper nonempty vertex subset")
     inside = np.zeros(g.n, dtype=bool)

@@ -30,7 +30,7 @@ def tie_groups(x: np.ndarray) -> np.ndarray:
     """Each score's tie group, 0.. ascending with the score; a new group starts only at a
     sorted gap above 1e-12 * max|x|, as scores equal in exact arithmetic differ by rounding
     that varies with the route and the BLAS thread count.  The library's one tie rule."""
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # any order of equal scores gives the same groups
     xs = x[order]
     groups = np.empty_like(order)
     groups[order] = np.cumsum(np.diff(xs, prepend=xs[:1]) > _TIE_RTOL * np.max(np.abs(xs), initial=0.0))

@@ -205,7 +205,7 @@ def _check_flow_identity(g: Graph):
 
 def _betweenness_reference(g: Graph) -> np.ndarray:
     """Brandes' algorithm one source at a time: the loop oracle for
-    `flow.edge_betweenness`."""
+    `flow.edge_betweenness` and both of its kernels."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(zip(g._u.tolist(), g._v.tolist())):
         adj[u].append((v, e))
@@ -240,7 +240,8 @@ def _betweenness_reference(g: Graph) -> np.ndarray:
 
 
 def _check_betweenness(g: Graph):
-    return flow.edge_betweenness(g).values, _betweenness_reference(g)
+    expect, kernels = _betweenness_reference(g), (flow._betweenness_blocks, flow._betweenness_dense)
+    return _sides(*((kernel(g.n, g._u, g._v), expect) for kernel in kernels))
 
 
 def _check_cut_edge(g: Graph):

@@ -161,12 +161,44 @@ def test_betweenness_counts_k4(k4):
 def test_betweenness_matches_brandes_loop(monkeypatch, make, block):
     # block elements 1 and 7 force one and a few sources per block; dense
     # and sparse, deep and shallow inputs, in generator order and shuffled:
-    # the kernel agrees with Brandes' loop whichever way its BFS runs
+    # both kernels agree with Brandes' loop, whichever one the route picks
+    # and whichever way the block kernel's BFS runs
     g = make()
     monkeypatch.setattr(flow, "_SOURCE_BLOCK_ELEMENTS", block)
     expect = validate._betweenness_reference(g)
-    np.testing.assert_allclose(flow._betweenness(g.n, g._u, g._v), expect, rtol=1e-13, atol=0)
+    for kernel in (flow._betweenness_blocks, flow._betweenness_dense, flow._betweenness):
+        np.testing.assert_allclose(kernel(g.n, g._u, g._v), expect, rtol=1e-13, atol=0, err_msg=kernel.__name__)
     assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-13, atol=0)
+
+
+def _lollipop(clique, tail):
+    edges = [(a, b, 1.0) for a in range(clique) for b in range(a + 1, clique)]
+    return Graph(clique + tail, edges + [(a, a + 1, 1.0) for a in range(clique - 1, clique + tail - 1)])
+
+
+@pytest.mark.parametrize("make, route", [
+    (lambda: generators.sbm([20] * 3, 0.5, 0.05, 0)[0], "dense"),  # (depth + 1) n^2 / m = 41
+    (lambda: generators.sbm([50] * 3, 0.6, 0.2, 0)[0], "dense"),  # 18
+    (lambda: generators.erdos_renyi(120, 0.1, 1), "dense"),  # 81
+    (lambda: generators.complete(300), "dense"),  # 4
+    (lambda: generators.complete(513), "blocks"),  # n^2 is more than one source block
+    (lambda: _grid(5, 7), "blocks"),  # 232
+    (lambda: generators.path(60), "blocks"),  # 3661
+    (lambda: generators.balanced_tree(3, 4), "blocks"),  # 610
+    (lambda: _lollipop(60, 60), "blocks"),  # 488
+    (lambda: generators.erdos_renyi(300, 10 / 300, 3), "blocks"),  # 285
+    (lambda: generators.knn(io.bundled_points("ring300")[0], 25), "blocks"),  # 212
+    (lambda: generators.erdos_renyi(500, 0.15, 2), "dense"),  # 40
+    (lambda: generators.erdos_renyi(500, 0.08, 2), "blocks"),  # 100, above K = 51 at n = 500
+], ids=["sbm20x3", "sbm50x3", "er120", "complete300", "complete513", "grid5x7", "path60", "tree3,4", "lollipop60+60",
+        "er300", "knn-ring300", "er500-dense", "er500"])
+def test_betweenness_route_follows_the_graphs_shape(monkeypatch, make, route):
+    # the dense route runs when n^2 <= one source block and (depth + 1) n^2 <= K m,
+    # depth the level count of a BFS from vertex 0, K = 100 up to n = 256 and 25,600 / n above
+    g = make()
+    for name in ("dense", "blocks"):
+        monkeypatch.setattr(flow, f"_betweenness_{name}", lambda n, u, v, name=name: name)
+    assert flow._betweenness(g.n, g._u, g._v) == route
 
 
 def _grid(rows, cols):
@@ -182,7 +214,7 @@ def test_betweenness_on_a_long_path():
     assert np.allclose(edge_betweenness(g).values, expect, rtol=1e-12, atol=0)
     # edge (i, i+1) separates i+1 vertices from the other 399 - i
     assert np.array_equal(expect, [(i + 1) * (399 - i) for i in range(399)])
-    assert edge_betweenness(Graph(1, [])).values.shape == (0,)
+    assert edge_betweenness(Graph(1, [])).values.shape == edge_betweenness(Graph(0, [])).values.shape == (0,)
 
 
 def test_spearman_perfect_and_reversed():

@@ -416,6 +416,7 @@ def test_cut_from_side_matches_the_edge_loop(seed):
     g = generators.erdos_renyi(int(rng.integers(5, 30)), 0.3, seed)
     side = rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False).tolist()
     cut = cut_from_side(g, side)
+    assert cut_from_side(g, np.array(side)) == cut_from_side(g, np.array(side, dtype=np.uint8)) == cut
     S = set(side)
     crossing = tuple(e for e, (u, v, _) in enumerate(g.edges) if (u in S) != (v in S))
     assert cut.side == frozenset(S)
@@ -427,6 +428,9 @@ def test_cut_from_side_matches_the_edge_loop(seed):
 @pytest.mark.parametrize("side, message", [
     ([], "proper nonempty"), (range(6), "proper nonempty"), ([0, 6], "invalid vertex"), ([-1], "invalid vertex"),
     ([0.5], "invalid vertex"), ([True], "invalid vertex"),
+    (np.array([0, 6]), "invalid vertex"), (np.array([-1, 2]), "invalid vertex"), (np.array([0.0]), "invalid vertex"),
+    (np.array([True]), "invalid vertex"), (np.array([[0, 1]]), "invalid vertex"),
+    (np.array([], dtype=int), "proper nonempty"), (np.arange(6), "proper nonempty"),
 ])
 def test_cut_from_side_rejects_improper_sides(barbell, side, message):
     with pytest.raises(GraphError, match=message):

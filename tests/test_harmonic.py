@@ -175,6 +175,19 @@ def test_tie_groups_chain_gaps_up_to_rounding():
     assert harmonic.tie_groups(np.zeros(0)).tolist() == []
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_tie_groups_follow_the_values_not_their_order(seed):
+    # groups depend only on the sorted values: a shuffled vector's groups are its
+    # groups shuffled, through repeats, +-0.0 and chains of gaps just under the tolerance
+    rng = np.random.default_rng(seed)
+    chain = 2.0 - 0.9e-12 * 2.0 * np.arange(6)
+    x = rng.choice(np.concatenate(([0.0, -0.0, 1.0, -1.0, 1.0 + 3e-12], chain)), 200)
+    groups = harmonic.tie_groups(x)
+    perm = rng.permutation(len(x))
+    assert harmonic.tie_groups(x[perm]).tolist() == groups[perm].tolist()
+    assert groups[x == 0.0].min() == groups[x == 0.0].max()
+
+
 def test_top_of_ties_is_the_first_index_of_the_top_tie_group():
     chain = 3.0 - 0.9e-12 * 3.0 * np.arange(4, -1, -1)  # gaps just under the tolerance
     assert harmonic.top_of_ties(np.concatenate(([1.0], chain, [2.0]))) == 1
