@@ -78,7 +78,7 @@ def current_flow_centrality(g: Graph) -> EdgeScores:
 # A block of BFS sources in edge_betweenness spans about this many entries
 # per temporary (block x n vertex states, block x 2m arc reads).
 _SOURCE_BLOCK_ELEMENTS = 2**18
-_DENSE_PER_EDGE, _DENSE_FLAT_N = 100, 256  # K of `_betweenness`'s route rule, and the n above which K falls as 1 / n
+_DENSE_PER_EDGE, _DENSE_MAX_N = 100, 256  # `_betweenness`'s route rule: its K, and the largest n sent dense
 
 
 def edge_betweenness(g: Graph) -> EdgeScores:
@@ -89,11 +89,12 @@ def edge_betweenness(g: Graph) -> EdgeScores:
 
 def _betweenness(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Edge betweenness of the edges (u, v), which must connect 0..n-1, each unordered pair counted from
-    both ends: by `_betweenness_dense`, O(L n^3) for L levels on BLAS, when n^2 is at most one source block
-    and (depth + 1) n^2 <= K m, depth the level count of a BFS from vertex 0 (K from README's crossover
-    table), else by `_betweenness_blocks`, O(n m) in about D n / block rounds for diameter D."""
-    km = _DENSE_PER_EDGE * _DENSE_FLAT_N * len(u) // max(n, _DENSE_FLAT_N)  # K m, K taken at this n
-    bound = km // (n * n) - 1 if len(u) and n * n <= _SOURCE_BLOCK_ELEMENTS else 0
+    both ends: by `_betweenness_dense`, O(L n^3) for L levels on BLAS, when n <= 256 and (depth + 1) n^2
+    <= K m, K = 100 from README's crossover table, else by `_betweenness_blocks`, O(n m) in about D n / block
+    rounds for diameter D.  depth is the level count of a BFS from vertex 0, its eccentricity: a lower bound
+    on the largest eccentricity, which L follows, and at least half of it.  Where in that range it falls
+    depends on the labelling, so relabelling a graph can change its route."""
+    bound = _DENSE_PER_EDGE * len(u) // (n * n) - 1 if len(u) and n <= _DENSE_MAX_N else 0
     reach = np.arange(n) == 0  # vertex 0, and after each round its next BFS level
     for _ in range(bound):
         reach[np.concatenate((v[reach[u]], u[reach[v]]))] = True

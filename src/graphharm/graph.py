@@ -320,12 +320,10 @@ def cut_from_side(g: Graph, side) -> Cut:
 
     ratio = n * |E(S, V\\S)| / (|S| * (n - |S|)).
     """
-    ints = isinstance(side, np.ndarray) and side.ndim == 1 and side.dtype.kind in "iu"  # `_integer_in` at once
-    side = side if ints else list(side)
-    valid = 0 <= side.min() <= side.max() < g.n if ints and len(side) else all(_integer_in(v, 0, g.n - 1) for v in side)
-    if not valid:
+    side = list(side)
+    if not all(_integer_in(v, 0, g.n - 1) for v in side):
         raise GraphError("cut side contains an invalid vertex")
-    S = frozenset(np.asarray(side, dtype=np.int64).tolist())
+    S = frozenset(int(v) for v in side)
     if not S or len(S) >= g.n:
         raise GraphError("cut side must be a proper nonempty vertex subset")
     inside = np.zeros(g.n, dtype=bool)

@@ -176,25 +176,29 @@ def _lollipop(clique, tail):
     return Graph(clique + tail, edges + [(a, a + 1, 1.0) for a in range(clique - 1, clique + tail - 1)])
 
 
+def _leaf_first_star(n):
+    # star(n) with labels 0 (the hub) and 1 (a leaf) swapped
+    return Graph(n, [(1, 0, 1.0)] + [(1, x, 1.0) for x in range(2, n)])
+
+
 @pytest.mark.parametrize("make, route", [
     (lambda: generators.sbm([20] * 3, 0.5, 0.05, 0)[0], "dense"),  # (depth + 1) n^2 / m = 41
     (lambda: generators.sbm([50] * 3, 0.6, 0.2, 0)[0], "dense"),  # 18
     (lambda: generators.erdos_renyi(120, 0.1, 1), "dense"),  # 81
-    (lambda: generators.complete(300), "dense"),  # 4
-    (lambda: generators.complete(513), "blocks"),  # n^2 is more than one source block
+    (lambda: generators.complete(256), "dense"),  # 4
+    (lambda: generators.complete(257), "blocks"),  # 4, but n is above 256
+    (lambda: generators.erdos_renyi(500, 0.15, 2), "blocks"),  # 40, but n is above 256
     (lambda: _grid(5, 7), "blocks"),  # 232
     (lambda: generators.path(60), "blocks"),  # 3661
     (lambda: generators.balanced_tree(3, 4), "blocks"),  # 610
     (lambda: _lollipop(60, 60), "blocks"),  # 488
-    (lambda: generators.erdos_renyi(300, 10 / 300, 3), "blocks"),  # 285
-    (lambda: generators.knn(io.bundled_points("ring300")[0], 25), "blocks"),  # 212
-    (lambda: generators.erdos_renyi(500, 0.15, 2), "dense"),  # 40
-    (lambda: generators.erdos_renyi(500, 0.08, 2), "blocks"),  # 100, above K = 51 at n = 500
-], ids=["sbm20x3", "sbm50x3", "er120", "complete300", "complete513", "grid5x7", "path60", "tree3,4", "lollipop60+60",
-        "er300", "knn-ring300", "er500-dense", "er500"])
+    (lambda: generators.star(40), "dense"),  # 82: depth 1 from the hub
+    (lambda: _leaf_first_star(40), "blocks"),  # 123: depth 2 from a leaf, the same graph relabelled
+], ids=["sbm20x3", "sbm50x3", "er120", "complete256", "complete257", "er500", "grid5x7", "path60", "tree3,4",
+        "lollipop60+60", "star40", "star40-leaf-first"])
 def test_betweenness_route_follows_the_graphs_shape(monkeypatch, make, route):
-    # the dense route runs when n^2 <= one source block and (depth + 1) n^2 <= K m,
-    # depth the level count of a BFS from vertex 0, K = 100 up to n = 256 and 25,600 / n above
+    # the dense route runs when n <= 256 and (depth + 1) n^2 <= 100 m, depth the level
+    # count of a BFS from vertex 0, so a relabelled graph can take the other route
     g = make()
     for name in ("dense", "blocks"):
         monkeypatch.setattr(flow, f"_betweenness_{name}", lambda n, u, v, name=name: name)
